@@ -38,7 +38,8 @@ MODEL_LR = "LogisticRegression"
 
 
 def _write_stage_log(work_dir: Path, stage: str, seed, counts: dict,
-                     artifacts: list[str], started: float) -> None:
+                     artifacts: list[str], started: float,
+                     warnings: list[str] | None = None) -> None:
     log_dir = work_dir / "logs"
     log_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -48,6 +49,8 @@ def _write_stage_log(work_dir: Path, stage: str, seed, counts: dict,
         "artifacts": artifacts,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
+    if warnings:
+        payload["warnings"] = warnings
     (log_dir / f"{stage}_log.json").write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n"
     )
@@ -114,11 +117,14 @@ def stage_cohort(args: dict) -> None:
     _require(args, "data", "work", "seed")
     started = time.monotonic()
     data_dir, work_dir = _check_dirs(args)
-    stays, _ = load_table(table_path(data_dir, "icustays"), ICUSTAYS)
-    patients, _ = load_table(table_path(data_dir, "patients"), PATIENTS)
-    admissions, _ = load_table(table_path(data_dir, "admissions"), ADMISSIONS)
-    diagnoses, _ = load_table(table_path(data_dir, "diagnoses_icd"), DIAGNOSES_ICD)
-    services, _ = load_table(table_path(data_dir, "services"), SERVICES)
+    tables, table_counts = {}, {}
+    for name, schema in (("icustays", ICUSTAYS), ("patients", PATIENTS),
+                         ("admissions", ADMISSIONS),
+                         ("diagnoses_icd", DIAGNOSES_ICD),
+                         ("services", SERVICES)):
+        tables[name], stats = load_table(table_path(data_dir, name), schema)
+        table_counts[f"{name}_rows_read"] = stats.rows_read
+        table_counts[f"{name}_rows_dropped"] = stats.rows_dropped
     flag_ranges = (cohort.load_icd9_flags(args["icd9_flags"])
                    if args.get("icd9_flags") else None)
     surgical = (frozenset(s.strip().upper()
@@ -126,9 +132,11 @@ def stage_cohort(args: dict) -> None:
                 if args.get("surgical_services")
                 else cohort.DEFAULT_SURGICAL_SERVICES)
     included, counts = cohort.build_cohort(
-        stays, patients, admissions, diagnoses, services,
+        tables["icustays"], tables["patients"], tables["admissions"],
+        tables["diagnoses_icd"], tables["services"],
         flag_ranges=flag_ranges, surgical_services=surgical,
     )
+    counts.update(table_counts)
     split = cohort.split_dataset(
         [s.subject_id for s in included], derive_seed(args["seed"], "split")
     )
@@ -296,9 +304,18 @@ def stage_evaluate(args: dict) -> None:
         work_dir / "model_comparison.csv",
     )
     print(table_text)
-    counts = {f"{m}_{s}_auc": round(r.auc, 6) for m, s, r in reports}
+    # A one-class split has no AUC; JSON has no nan, so the log says null.
+    counts = {f"{m}_{s}_auc": None if np.isnan(r.auc) else round(r.auc, 6)
+              for m, s, r in reports}
+    warnings = [
+        f"{split} split holds one class; its AUC is nan"
+        + ("; the test ROC files hold only a header" if split == "test" else "")
+        for m, split, r in reports if m == MODEL_LSTM and not r.roc_points
+    ]
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     _write_stage_log(work_dir, "evaluate", args.get("seed"), counts,
-                     artifacts, started)
+                     artifacts, started, warnings)
 
 
 def render_comparison(model_reports: list[tuple[str, metrics.EvalReport]],

@@ -37,6 +37,7 @@ MIN_STAY_HOURS = 48.0
 
 # De-identified records shift the birth date of patients older than 89, which
 # makes the computed age land near 300; the conventional replacement age.
+MAX_UNSHIFTED_AGE_YEARS = 89.0
 SHIFTED_AGE_CLAMP = 91.4
 
 SCHEDULED_SURGICAL = "ScheduledSurgical"
@@ -89,7 +90,7 @@ def compute_age(dob: datetime, intime: datetime) -> float:
     if dob > intime:
         raise DataError(f"dob {dob} is after intime {intime}")
     years = (intime - dob).total_seconds() / (86400.0 * DAYS_PER_YEAR)
-    if years > 89.0:
+    if years > MAX_UNSHIFTED_AGE_YEARS:
         return SHIFTED_AGE_CLAMP
     return years
 

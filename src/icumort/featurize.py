@@ -444,9 +444,11 @@ def read_features(work_dir: str | Path
             raise DataError(f"unexpected header in {seq_path}")
         for row in reader:
             stay_id, hour = int(row[0]), int(row[1])
-            seq = seq_by_stay.setdefault(
-                stay_id, np.full((WINDOW_HOURS, N_CHANNELS), np.nan)
-            )
+            seq = seq_by_stay.get(stay_id)
+            if seq is None:
+                seq = seq_by_stay[stay_id] = np.full(
+                    (WINDOW_HOURS, N_CHANNELS), np.nan
+                )
             seq[hour] = [float(v) for v in row[2:]]
     tensors: list[FeatureTensor] = []
     split_by_stay: dict[int, str] = {}

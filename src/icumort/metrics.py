@@ -131,28 +131,43 @@ def auc_oracle(scores: Sequence[float], labels: Sequence[int]) -> float:
     return float((concordant + 0.5 * tied) / (pos.size * neg.size))
 
 
+def _both_classes(labels: np.ndarray) -> bool:
+    positives = int(labels.sum())
+    return 0 < positives < labels.size
+
+
 def evaluate_scores(scores: Sequence[float], labels: Sequence[int],
                     threshold: float = 0.5) -> EvalReport:
-    """Full evaluation of one model on one split."""
+    """Full evaluation of one model on one split.
+
+    A split holding one class has no ROC: its report carries ``auc`` nan
+    and no ROC points, while the confusion counts and P/R/F1 still hold.
+    """
     scores_arr, labels_arr = _check_pair(scores, labels)
     tp, fp, tn, fn = confusion(scores_arr, labels_arr, threshold)
     precision, recall, f1 = prf1(tp, fp, tn, fn)
-    points = roc_curve(scores_arr, labels_arr)
+    points = roc_curve(scores_arr, labels_arr) if _both_classes(labels_arr) else []
     return EvalReport(
         n=int(labels_arr.size),
         positives=int(labels_arr.sum()),
         threshold=threshold,
         tp=tp, fp=fp, tn=tn, fn=fn,
         precision=precision, recall=recall, f1=f1,
-        auc=auc(points),
+        auc=auc(points) if points else float("nan"),
         roc_points=points,
     )
 
 
 def write_roc_csv(path: str | Path, scores: Sequence[float],
                   labels: Sequence[int]) -> None:
-    """Export the ROC as ``fpr,tpr,threshold`` (blank on appended endpoints)."""
-    points = roc_curve_with_thresholds(scores, labels)
+    """Export the ROC as ``fpr,tpr,threshold`` (blank on appended endpoints).
+
+    When the labels hold one class there is no ROC, and only the header row
+    is written.
+    """
+    scores, labels = _check_pair(scores, labels)
+    points = (roc_curve_with_thresholds(scores, labels)
+              if _both_classes(labels) else [])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["fpr", "tpr", "threshold"])

@@ -7,10 +7,15 @@ random choice independent of iteration order and input file ordering, so
 re-runs and parallel runs agree bit for bit.
 
 The generator is splitmix64 (Steele, Lea and Flood's 64-bit mixing step),
-chosen because it is tiny, well documented, and trivially portable.
+chosen because it is tiny, well documented, and trivially portable. It is
+plain wrapping uint64 arithmetic, so ``derive_seed_many`` and
+``leading_uniforms`` compute it with numpy for many keys at once, bit for bit
+equal to the scalar functions.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,6 +50,46 @@ def derive_seed(root: int, *parts: int | str) -> int:
         else:
             acc = _mix(acc, int(part))
     return acc
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    # uint64 array arithmetic wraps modulo 2**64, as the scalar masks do.
+    z = x + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seed_many(root: int, *prefix: int | str, keys) -> np.ndarray:
+    """``derive_seed(root, *prefix, k)`` for every integer k in ``keys``.
+
+    The prefix is folded once; the keys are folded as one uint64 array, so
+    negative keys wrap to their two's complement exactly as the scalar
+    ``value & _MASK64`` does. Returns a uint64 array shaped like ``keys``.
+    """
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        keys = keys.astype(np.int64)
+    if keys.dtype.kind == "i":
+        keys = keys.astype(np.int64).view(np.uint64)
+    elif keys.dtype.kind == "u":
+        keys = keys.astype(np.uint64)
+    else:
+        raise TypeError(f"keys must be integers, got dtype {keys.dtype}")
+    acc = np.uint64(derive_seed(root, *prefix))
+    return _splitmix64_array(keys ^ acc)
+
+
+def leading_uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
+    """The first k ``SplitMix64(seed).uniform()`` draws for every seed.
+
+    Returns a float64 array of shape ``seeds.shape + (k,)``; entry j is the
+    (j+1)-th draw of the stream seeded with that seed.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    steps = np.arange(k, dtype=np.uint64) * np.uint64(_GOLDEN)
+    bits = _splitmix64_array(seeds[..., None] + steps) >> np.uint64(11)
+    return bits.astype(np.float64) * (2.0**-53)
 
 
 class SplitMix64:

@@ -27,26 +27,35 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .cohort import first_stay_per_patient
+from .cohort import (
+    DAYS_PER_YEAR,
+    MAX_UNSHIFTED_AGE_YEARS,
+    MIN_AGE_YEARS,
+    apply_inclusion,
+    compute_age,
+    first_stay_per_patient,
+)
 from .errors import ConfigError
-from .items import ItemRegistry, load_registry, resolve_item
-from .seeding import SplitMix64, derive_seed
+from .featurize import WINDOW_MINUTES
+from .items import N_CHANNELS, ItemRegistry, load_registry, resolve_item
+from .seeding import SplitMix64, derive_seed, derive_seed_many, leading_uniforms
 from .tables import (
     ADMISSIONS,
     ICUSTAYS,
     PATIENTS,
     TS_FORMAT,
     load_table,
+    parse_timestamp,
     table_path,
 )
 
 BASE_INTIME = datetime(2101, 1, 1)
-DAYS_PER_YEAR = 365.2425
 MANIFEST_NAME = "synth_manifest.json"
 
 TABLE_COLUMNS = {
@@ -276,7 +285,7 @@ def sample_patients(config: SynthConfig) -> list[PatientProfile]:
         if rng.random() < min(1.0, 0.08 * boost):
             codes.append(str(rng.choice(_MET_CODES)))
 
-        if age > 89.0:
+        if age > MAX_UNSHIFTED_AGE_YEARS:
             dob = first_intime - timedelta(days=300.2 * DAYS_PER_YEAR)
         else:
             dob = first_intime - timedelta(days=age * DAYS_PER_YEAR)
@@ -538,17 +547,37 @@ def _preview_windows(data_dir: Path) -> dict:
     windows: dict[int, tuple[int, datetime]] = {}
     hadm_windows: dict[int, tuple[int, datetime]] = {}
     for stay in first_stay_per_patient(stays):
-        if stay.subject_id not in dob:
+        birth = dob.get(stay.subject_id)
+        if birth is None or birth > stay.intime:
             continue
-        years = (stay.intime - dob[stay.subject_id]).total_seconds() / (
-            86400.0 * DAYS_PER_YEAR
-        )
-        age = 91.4 if years > 89.0 else years
-        if age < 16.0 or stay.outtime - stay.intime <= timedelta(hours=48):
+        if not apply_inclusion(stay, compute_age(birth, stay.intime)):
             continue
         windows[stay.icustay_id] = (stay.icustay_id, stay.intime)
         hadm_windows[stay.hadm_id] = (stay.icustay_id, stay.intime)
     return {"icustay": windows, "hadm": hadm_windows}
+
+
+# Rows per block of an event table in inject_anomalies: enough to amortise
+# one vectorised seed derivation, small enough that holding the block's rows
+# adds under 1 MB to the synth process's peak memory.
+_INJECT_BLOCK_ROWS = 1024
+# Most coins one row can draw: Celsius, error text, duplicate, jitter.
+_INJECT_COINS = 4
+
+
+def _keyed_rows(reader, i_row: int, seed: int, table_name: str):
+    """Yield (row, row id, first coins of the row's keyed stream) per row.
+
+    Rows are read in fixed blocks, and each block's coins come from one
+    vectorised seed derivation over its row ids.
+    """
+    while block := list(islice(reader, _INJECT_BLOCK_ROWS)):
+        row_ids = [int(row[i_row]) for row in block]
+        coins = leading_uniforms(
+            derive_seed_many(seed, "inject", table_name, keys=row_ids),
+            _INJECT_COINS,
+        )
+        yield from zip(block, row_ids, coins.tolist())
 
 
 def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
@@ -560,17 +589,24 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
     hour spans. Entries are recorded only when the row lands inside the 48h
     window of a stay expected to enter the cohort, so every manifest entry
     is verifiable against the featurized output.
+
+    Rows are processed in blocks of about a thousand. Each block's coins
+    come from one vectorised derivation over its row ids, and a row's coins
+    are the first draws of ``SplitMix64(derive_seed(seed, "inject", table,
+    row_id))``, consumed in the same order as a per-row stream would, so the
+    output does not depend on the block size.
     """
     config.validate()
     data_dir = Path(data_dir)
     registry = load_registry()
     windows = _preview_windows(data_dir)
+    stay_windows, hadm_windows = windows["icustay"], windows["hadm"]
 
     spans: dict[tuple[int, int], tuple[int, int]] = {}
     span_removed: dict[tuple[int, int], int] = {}
     if config.missing_span_rate > 0:
-        for stay_id, _ in windows["icustay"].values():
-            for channel_idx in range(13):
+        for stay_id, _ in stay_windows.values():
+            for channel_idx in range(N_CHANNELS):
                 rng = SplitMix64(
                     derive_seed(config.seed, "inject", "span", stay_id, channel_idx)
                 )
@@ -593,28 +629,31 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
             header = next(reader)
             writer.writerow(header)
             idx = {name: i for i, name in enumerate(header)}
-            has_stay = "ICUSTAY_ID" in idx
-            has_valuenum = "VALUENUM" in idx
+            i_row, i_item, i_hadm = idx["ROW_ID"], idx["ITEMID"], idx["HADM_ID"]
+            i_time, i_value = idx["CHARTTIME"], idx["VALUE"]
+            i_stay = idx.get("ICUSTAY_ID")
+            i_valuenum = idx.get("VALUENUM")
+            i_uom = idx.get("VALUEUOM")
             max_row_id = 0
-            for row in reader:
-                row_id = int(row[idx["ROW_ID"]])
+            for row, row_id, coins in _keyed_rows(reader, i_row, config.seed,
+                                                  table_name):
                 max_row_id = max(max_row_id, row_id)
-                item_id = int(row[idx["ITEMID"]])
+                item_id = int(row[i_item])
                 resolved = resolve_item(registry, item_id)
                 stay_hour: Optional[tuple[int, int]] = None
+                charttime: Optional[datetime] = None
                 if resolved is not None:
                     key = None
-                    if has_stay and row[idx["ICUSTAY_ID"]]:
-                        key = windows["icustay"].get(int(row[idx["ICUSTAY_ID"]]))
-                    elif row[idx["HADM_ID"]]:
-                        key = windows["hadm"].get(int(row[idx["HADM_ID"]]))
+                    if i_stay is not None and row[i_stay]:
+                        key = stay_windows.get(int(row[i_stay]))
+                    elif row[i_hadm]:
+                        key = hadm_windows.get(int(row[i_hadm]))
                     if key is not None:
                         stay_id, intime = key
-                        minute = int(
-                            (datetime.strptime(row[idx["CHARTTIME"]], TS_FORMAT)
-                             - intime).total_seconds() // 60
-                        )
-                        if 0 <= minute < 48 * 60:
+                        charttime = parse_timestamp(row[i_time])
+                        minute = int((charttime - intime).total_seconds()
+                                     // 60)
+                        if 0 <= minute < WINDOW_MINUTES:
                             stay_hour = (stay_id, minute // 60)
 
                 channel_idx = resolved[0].channel_index if resolved else None
@@ -628,21 +667,19 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
                         span_removed[key] = span_removed.get(key, 0) + 1
                         continue
 
-                coin = SplitMix64(
-                    derive_seed(config.seed, "inject", table_name, row_id)
-                )
-                value_text = row[idx["VALUE"]]
+                coin = iter(coins)
+                value_text = row[i_value]
                 is_temp_f = subrole == "temp_f"
                 converted = False
-                if is_temp_f and coin.uniform() < config.celsius_rate:
+                if is_temp_f and next(coin) < config.celsius_rate:
                     fahrenheit = float(value_text)
                     celsius = round((fahrenheit - 32.0) * 5.0 / 9.0, 1)
-                    row[idx["ITEMID"]] = str(temp_swap[item_id])
-                    row[idx["VALUE"]] = f"{celsius:.1f}"
-                    if has_valuenum:
-                        row[idx["VALUENUM"]] = f"{celsius:.1f}"
-                    if "VALUEUOM" in idx:
-                        row[idx["VALUEUOM"]] = "?C"
+                    row[i_item] = str(temp_swap[item_id])
+                    row[i_value] = f"{celsius:.1f}"
+                    if i_valuenum is not None:
+                        row[i_valuenum] = f"{celsius:.1f}"
+                    if i_uom is not None:
+                        row[i_uom] = "?C"
                     converted = True
                     if stay_hour is not None:
                         injections["celsius"].append({
@@ -652,10 +689,10 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
                         })
                 errored = False
                 if (not converted and channel_idx is not None
-                        and coin.uniform() < config.error_text_rate):
-                    row[idx["VALUE"]] = "ERROR"
-                    if has_valuenum:
-                        row[idx["VALUENUM"]] = ""
+                        and next(coin) < config.error_text_rate):
+                    row[i_value] = "ERROR"
+                    if i_valuenum is not None:
+                        row[i_valuenum] = ""
                     errored = True
                     if stay_hour is not None:
                         injections["error_text"].append({
@@ -664,15 +701,16 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
                             "hour": stay_hour[1],
                         })
                 if (not errored and channel_idx is not None
-                        and coin.uniform() < config.duplicate_rate):
+                        and next(coin) < config.duplicate_rate):
                     dup = list(row)
-                    base_value = float(row[idx["VALUE"]])
-                    jitter = 0.97 + 0.06 * coin.uniform()  # stays plausible
+                    base_value = float(row[i_value])
+                    jitter = 0.97 + 0.06 * next(coin)  # stays plausible
                     new_value = round(base_value * jitter, 1)
-                    dup[idx["VALUE"]] = f"{new_value:.1f}"
-                    if has_valuenum:
-                        dup[idx["VALUENUM"]] = f"{new_value:.1f}"
-                    charttime = datetime.strptime(row[idx["CHARTTIME"]], TS_FORMAT)
+                    dup[i_value] = f"{new_value:.1f}"
+                    if i_valuenum is not None:
+                        dup[i_valuenum] = f"{new_value:.1f}"
+                    if charttime is None:
+                        charttime = parse_timestamp(row[i_time])
                     # Shift a few minutes without leaving the hour bucket,
                     # which is measured from the stay's admission minute.
                     if stay_hour is not None:
@@ -680,9 +718,7 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
                         shift = 7 if offset_in_hour < 53 else -7
                     else:
                         shift = 7
-                    dup[idx["CHARTTIME"]] = _fmt_ts(
-                        charttime + timedelta(minutes=shift)
-                    )
+                    dup[i_time] = _fmt_ts(charttime + timedelta(minutes=shift))
                     appended.append(dup)
                     if stay_hour is not None:
                         injections["duplicate"].append({
@@ -693,7 +729,7 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
                 writer.writerow(row)
             for extra in appended:
                 max_row_id += 1
-                extra[idx["ROW_ID"]] = str(max_row_id)
+                extra[i_row] = str(max_row_id)
                 writer.writerow(extra)
         os.replace(tmp, path)
 
@@ -785,9 +821,8 @@ def describe(data_dir: str | Path) -> DescribeSummary:
         ref = first_stay_time.get(p.subject_id) or first_admit.get(p.subject_id)
         if ref is None or p.dob > ref:
             continue
-        years = (ref - p.dob).total_seconds() / (86400.0 * DAYS_PER_YEAR)
-        age = 91.4 if years > 89.0 else years
-        if age >= 16.0:
+        age = compute_age(p.dob, ref)
+        if age >= MIN_AGE_YEARS:
             adult_ages[p.subject_id] = age
     summary.adult_patients = len(adult_ages)
     if adult_ages:

@@ -6,7 +6,13 @@ never loaded whole: ``parse_table`` yields records in file order while
 counting rows read, kept, and dropped.
 
 Timestamps are parsed as naive ``YYYY-MM-DD HH:MM:SS`` (the de-identified
-distribution format); a bare date is accepted and taken as midnight.
+distribution format); a bare date is accepted and taken as midnight. The
+accepted strings are exactly those of ``datetime.strptime`` with those two
+formats. A strict fast path sends only 19-character strings with ``-``, ``-``,
+`` ``, ``:`` and ``:`` at offsets 4, 7, 10, 13 and 16 to the much cheaper
+``datetime.fromisoformat``; any other string, and any string it rejects,
+falls back to ``strptime``, so single-digit fields, other separators and
+surrounding spaces are accepted or rejected as before.
 """
 
 from __future__ import annotations
@@ -97,6 +103,12 @@ class TableSchema:
 
 
 def parse_timestamp(text: str) -> datetime:
+    if (len(text) == 19 and text[4] == "-" and text[7] == "-"
+            and text[10] == " " and text[13] == ":" and text[16] == ":"):
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass
     for fmt in (TS_FORMAT, "%Y-%m-%d"):
         try:
             return datetime.strptime(text, fmt)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,19 @@ class TestReportExport:
         assert lines[0].startswith("model,split,n,positives")
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "LSTM"
+
+    def test_one_class_split_reports_nan_auc_and_counts(self):
+        report = evaluate_scores([0.9, 0.6, 0.4, 0.1], [0, 0, 0, 0], 0.5)
+        assert math.isnan(report.auc)
+        assert report.roc_points == []
+        assert (report.n, report.positives) == (4, 0)
+        assert (report.tp, report.fp, report.tn, report.fn) == (0, 2, 2, 0)
+        assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
+        report = evaluate_scores([0.9, 0.2], [1, 1], 0.5)
+        assert math.isnan(report.auc)
+        assert (report.tp, report.fp, report.tn, report.fn) == (1, 0, 0, 1)
+
+    def test_one_class_roc_csv_holds_only_the_header(self, tmp_path):
+        path = tmp_path / "roc.csv"
+        write_roc_csv(path, [0.9, 0.1], [1, 1])
+        assert path.read_text() == "fpr,tpr,threshold\n"

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from icumort import synth
 from icumort.errors import ConfigError
 from icumort.items import load_registry
 from icumort.synth import (
@@ -253,3 +254,33 @@ class TestDescribe:
         assert s.icu_stays >= 50
         text = s.to_text()
         assert "adult_patients" in text
+
+
+# sha256 of everything generate + inject_anomalies write for one small config
+# at the default anomaly rates. Speed-ups to either step must keep these
+# bytes; a deliberate change to the generated data updates them.
+_PINNED_SHA256 = {
+    "ADMISSIONS.csv": "e86c898be74d4988a5fcde12d8ea7abca916630bd0793057be4fc01d18ec984e",
+    "CHARTEVENTS.csv": "80c88dd2033466024a27e37d798564e1663610da1a26a969acc4fac921464f9a",
+    "DIAGNOSES_ICD.csv": "665651250b2530bdb4abcc9658d14df3e8a869cb7fef588117e75a0a16b58497",
+    "ICUSTAYS.csv": "bd786e20480152dcd27139d0a34e64e2d9125aeb16848950e401fa7041a837c1",
+    "LABEVENTS.csv": "6a8145e8dfba7e86fcc7e4e91017e070879fa41f8c85c371f8903c7646f3ff13",
+    "OUTPUTEVENTS.csv": "e63ea59195ddb80b4cd6e97c3961158f97d2ad92f6d44651956b2cc7d0c79998",
+    "PATIENTS.csv": "1a661a7fe64a03af298541d1e83067f2342d1b1e2f535a5a84423e372ee44a92",
+    "SERVICES.csv": "d25e26b0b25b256cec3f3027be558c581777b099a552c02fe9f100609298c942",
+    "synth_manifest.json": "3c2566a08ec6ed1f1545eede717d94f74245fde91b0781a9503b4be0691ef298",
+}
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_generated_and_injected_bytes_are_pinned(tmp_path, monkeypatch,
+                                                 block_rows):
+    if block_rows is not None:  # the bytes must not depend on the block size
+        monkeypatch.setattr(synth, "_INJECT_BLOCK_ROWS", block_rows)
+    config = SynthConfig(n_patients=40, seed=11)
+    generate(config, tmp_path)
+    injections = inject_anomalies(tmp_path, config)
+    assert all(injections.values())  # every anomaly kind is exercised
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == _PINNED_SHA256

@@ -1,5 +1,7 @@
 import gzip
 import io
+import random
+from datetime import datetime
 
 import pytest
 
@@ -160,3 +162,80 @@ def test_parse_timestamp_accepts_bare_date():
     assert parse_timestamp("2101-01-02").hour == 0
     with pytest.raises(ValueError):
         parse_timestamp("01/02/2101")
+
+
+def _strptime_reference(text):
+    # The parser before the fromisoformat fast path, kept as the reference.
+    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d"):
+        try:
+            return datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+    raise ValueError(f"bad timestamp {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+_TIMESTAMP_CORPUS = [
+    "2101-01-02 03:04:05",
+    "2199-12-31 23:59:59",
+    "2101-1-2 3:4:5",  # single-digit fields
+    "2101-01-2 03:04:05",
+    "2101-01-02 3:04:05",
+    "2101-01-02T03:04:05",  # T separator
+    " 2101-01-02 03:04:05",  # surrounding spaces
+    "2101-01-02 03:04:05 ",
+    " 2101-01-02 ",
+    "2101-01-02\t03:04:05",
+    "2101-01-02  03:04:05",
+    "2101-01-02 03:04:60",  # second 60
+    "2101-01-02 03:60:05",
+    "2101-01-02 24:00:00",
+    "2101-02-29 00:00:00",
+    "2100-02-29 00:00:00",
+    "0000-01-01 00:00:00",
+    "２１０１-０１-０２ ０３:０４:０５",  # Unicode digits
+    "٢١٠١-٠١-٠٢ ٠٣:٠٤:٠٥",
+    "2101-01-02 03:04:0５",
+    "2101-01-02",  # bare date
+    "2101-1-2",
+    "2101-01-02 ",
+    "2101-01-02 03:04",
+    "2101-01-02 03:04:05.5",
+    "2101-01-02 03:04:05Z",
+    "2101-01-02 03:04:5Z",
+    "2101-01-02 03:04:+5",
+    "+101-01-02 03:04:05",
+    "garbage",  # garbage
+    "",
+    "----:--:--:--:--:--",
+    "2101-01-02 03:04:05+00:00",
+]
+
+
+@pytest.mark.parametrize("text", _TIMESTAMP_CORPUS)
+def test_parse_timestamp_matches_strptime_on_corpus(text):
+    assert _outcome(parse_timestamp, text) == _outcome(_strptime_reference, text)
+
+
+def test_parse_timestamp_matches_strptime_on_random_fixed_width_strings():
+    # Every 19-character string with the separators of the fast path goes
+    # through fromisoformat first; it must accept exactly what strptime does.
+    # Start from valid timestamps and garble 0-2 of their digit positions.
+    rng = random.Random(20120758)
+    alphabet = "0123456789 +-:.TZ０٣"
+    digit_offsets = [i for i in range(19) if i not in (4, 7, 10, 13, 16)]
+    for _ in range(5000):
+        chars = list(f"{rng.randrange(1, 10000):04d}-{rng.randrange(0, 14):02d}-"
+                     f"{rng.randrange(0, 33):02d} {rng.randrange(0, 26):02d}:"
+                     f"{rng.randrange(0, 62):02d}:{rng.randrange(0, 62):02d}")
+        for offset in rng.sample(digit_offsets, rng.randrange(3)):
+            chars[offset] = rng.choice(alphabet)
+        text = "".join(chars)
+        assert (_outcome(parse_timestamp, text)
+                == _outcome(_strptime_reference, text)), text
