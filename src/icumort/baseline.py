@@ -10,6 +10,7 @@ convex optimum instead of oscillating around it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 from .adam import AdamState, adam_step
 from .errors import ConfigError, DataError
 from .featurize import FeatureTensor
+from .nn import sigmoid
 
 N_LR_FEATURES = 20
 MAX_ITERATIONS = 500
@@ -38,15 +40,6 @@ def last_hour_features(tensor: FeatureTensor) -> np.ndarray:
     return np.concatenate([tensor.seq[-1], tensor.static])
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def lr_objective(weights: np.ndarray, bias: float, features: np.ndarray,
                  labels: np.ndarray, lam: float) -> float:
     """Mean BCE plus (lam/2)||w||^2; the bias is not penalized."""
@@ -58,7 +51,7 @@ def lr_objective(weights: np.ndarray, bias: float, features: np.ndarray,
 
 def lr_gradients(weights: np.ndarray, bias: float, features: np.ndarray,
                  labels: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    p = _sigmoid(features @ weights + bias)
+    p = sigmoid(features @ weights + bias)
     residual = p - labels
     grad_w = features.T @ residual / labels.size + lam * weights
     grad_b = float(np.mean(residual))
@@ -103,7 +96,7 @@ def train_lr(features: np.ndarray, labels: np.ndarray, lam: float = 1.0
 def predict_lr(model: LrModel, features: np.ndarray) -> np.ndarray:
     """sigmoid(w.x + b) for one feature vector or a batch."""
     features = np.asarray(features, dtype=np.float64)
-    return _sigmoid(features @ model.weights + model.bias)
+    return sigmoid(features @ model.weights + model.bias)
 
 
 _COEF_NAMES = [f"seq_c{i}_h47" for i in range(13)] + [
@@ -125,11 +118,23 @@ def load_lr(path: str | Path) -> LrModel:
     if not path.exists():
         raise DataError(f"missing checkpoint file: expected {path}")
     values: dict[str, float] = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
+    text = path.read_bytes().decode("utf-8", errors="replace")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
             continue
-        key, raw = line.split()
-        values[key] = float(raw)
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'name value', "
+                            f"got {line!r}")
+        key, raw = fields
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: {key} is not a finite "
+                            f"number: {raw!r}")
+        values[key] = value
     try:
         weights = np.array([values[name] for name in _COEF_NAMES])
         return LrModel(weights=weights, bias=values["bias"], lam=values["lambda"])

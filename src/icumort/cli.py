@@ -209,6 +209,13 @@ def stage_train(args: dict) -> None:
     tensors, split_by_stay = featurize.read_features(work_dir)
     train_data = _split_arrays(tensors, split_by_stay, "train")
     val_data = _split_arrays(tensors, split_by_stay, "val")
+    # Fit the baseline first, so a one-class train split fails before training.
+    lr_features = np.stack([
+        baseline.last_hour_features(t) for t in tensors
+        if split_by_stay[t.stay_id] == "train"
+    ])
+    lr_model = baseline.train_lr(lr_features, train_data[2],
+                                 lam=args["l2_lambda"])
 
     config = training.TrainConfig(
         batch_size=args["batch_size"],
@@ -223,13 +230,6 @@ def stage_train(args: dict) -> None:
     nn.save_checkpoint(model, work_dir / "lstm_checkpoint.bin")
     _write_model_manifest(work_dir, args, config)
     training.write_history_csv(work_dir / "training_history.csv", history)
-
-    lr_features = np.stack([
-        baseline.last_hour_features(t) for t in tensors
-        if split_by_stay[t.stay_id] == "train"
-    ])
-    lr_labels = train_data[2]
-    lr_model = baseline.train_lr(lr_features, lr_labels, lam=args["l2_lambda"])
     baseline.save_lr(lr_model, work_dir / "logreg_checkpoint.txt", args["seed"])
 
     counts = {

@@ -8,12 +8,20 @@ cross-entropy, which the test suite checks against central finite
 differences.
 
 Gate packing order inside the 4H dimension is [input, forget, cell, output].
+One ``tanh`` over the 4H columns makes all four gates of a step, with
+sigmoid(z) = 1/2 + 1/2 tanh(z/2) on i, f and o; the head uses the exact
+``sigmoid``. The forward cache is time-major, per layer of T steps over a
+batch of B: ``gates`` (T, B, 4H), ``tanh_c`` (T, B, H), and the hidden and
+cell states ``hs``, ``cs`` (T+1, B, H) with ``hs[0] = cs[0] = 0``, so that
+``hs[:-1]`` holds each step's previous hidden state and ``hs[1:]`` the output.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +51,9 @@ class LstmModel:
     hidden_size: int
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Exact logistic function, without overflow at large |z|."""
+    out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -95,42 +104,47 @@ def copy_model(model: LstmModel) -> LstmModel:
     )
 
 
-def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              params: LstmLayerParams) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One LSTM step for a batch: returns (h_t, c_t, cache for backward)."""
-    h = params.w_h.shape[1]
-    if x_t.shape[-1] != params.w_x.shape[1]:
-        raise DimensionError(
-            f"input width {x_t.shape[-1]} does not match w_x {params.w_x.shape}"
-        )
-    if h_prev.shape[-1] != h or c_prev.shape[-1] != h:
-        raise DimensionError(
-            f"state width {h_prev.shape[-1]}/{c_prev.shape[-1]} does not "
-            f"match w_h {params.w_h.shape}"
-        )
-    z = x_t @ params.w_x.T + h_prev @ params.w_h.T + params.b
-    i = _sigmoid(z[..., :h])
-    f = _sigmoid(z[..., h : 2 * h])
-    g = np.tanh(z[..., 2 * h : 3 * h])
-    o = _sigmoid(z[..., 3 * h :])
-    c_t = f * c_prev + i * g
-    tanh_c = np.tanh(c_t)
-    h_t = o * tanh_c
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c}
-    return h_t, c_t, cache
+@lru_cache(maxsize=8)
+def _gate_affine(h: int) -> np.ndarray:
+    """Read-only rows (scale, shift): tanh(z * scale) * scale + shift is the
+    sigmoid on the i, f and o columns and tanh on the g columns."""
+    affine = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]], h, axis=1)
+    affine.flags.writeable = False
+    return affine
+
+
+def lstm_step(zx_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+              w_hT: np.ndarray, gates: np.ndarray, c_t: np.ndarray,
+              tanh_c: np.ndarray, h_t: np.ndarray) -> None:
+    """One LSTM step for a batch, written into the caller's arrays.
+
+    ``zx_t`` (B, 4H) is the step's input projection plus bias and ``w_hT``
+    (H, 4H) the transposed recurrent weights. ``gates`` (B, 4H) receives the
+    activated [i, f, g, o]; ``c_t``, ``tanh_c`` and ``h_t`` (B, H) receive
+    the new cell state, its tanh and the new hidden state.
+    """
+    h = h_prev.shape[-1]
+    scale, shift = _gate_affine(h)
+    np.matmul(h_prev, w_hT, out=gates)
+    gates += zx_t
+    gates *= scale
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += shift
+    i_g, f_g, g_g, o_g = gates.reshape(-1, 4, h).transpose(1, 0, 2)
+    np.multiply(f_g, c_prev, out=c_t)
+    c_t += i_g * g_g
+    np.tanh(c_t, out=tanh_c)
+    np.multiply(o_g, tanh_c, out=h_t)
 
 
 @dataclass
 class _LayerTrace:
-    x: np.ndarray  # (B, T, D) layer input
-    h_prev: np.ndarray  # (B, T, H)
-    c_prev: np.ndarray  # (B, T, H)
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    tanh_c: np.ndarray
+    x: np.ndarray  # (T, B, D) layer input
+    gates: np.ndarray  # (T, B, 4H)
+    hs: np.ndarray  # (T+1, B, H)
+    cs: np.ndarray  # (T+1, B, H)
+    tanh_c: np.ndarray  # (T, B, H)
 
 
 @dataclass
@@ -147,59 +161,46 @@ def forward_batch(seq: np.ndarray, static: np.ndarray, model: LstmModel,
     """Probabilities for a batch: seq (B, T, 13), static (B, 7)."""
     seq = np.asarray(seq, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
+    h = model.hidden_size
+    if (seq.ndim != 3 or seq.shape[2] != model.layers[0].w_x.shape[1]
+            or static.shape != (seq.shape[0], model.head_w.size - h)):
+        raise DimensionError(f"inputs {seq.shape} and {static.shape} do not "
+                             "fit the model's input and static widths")
     if not (np.all(np.isfinite(seq)) and np.all(np.isfinite(static))):
         raise DataError("non-finite model input")
     b, t, _ = seq.shape
-    h = model.hidden_size
-    x = seq
+    x = np.ascontiguousarray(seq.transpose(1, 0, 2))
+    zx = np.empty((t, b, 4 * h))
+    # Without a cache only the hidden states outlive a step, so the other
+    # buffers keep one slot (cs two) and step k uses slot k % len(buffer).
+    slots = t if want_cache else 1
     traces: list[_LayerTrace] = []
+    hs = None
     for layer in model.layers:
-        zx = x.reshape(b * t, -1) @ layer.w_x.T
-        zx = zx.reshape(b, t, 4 * h) + layer.b
-        h_state = np.zeros((b, h))
-        c_state = np.zeros((b, h))
-        trace = _LayerTrace(
-            x=x,
-            h_prev=np.empty((b, t, h)), c_prev=np.empty((b, t, h)),
-            i=np.empty((b, t, h)), f=np.empty((b, t, h)),
-            g=np.empty((b, t, h)), o=np.empty((b, t, h)),
-            tanh_c=np.empty((b, t, h)),
-        ) if want_cache else None
-        h_seq = np.empty((b, t, h))
+        np.matmul(x.reshape(t * b, -1), layer.w_x.T,
+                  out=zx.reshape(t * b, 4 * h))
+        zx += layer.b
+        w_hT = np.ascontiguousarray(layer.w_h.T)
+        if want_cache or hs is None:
+            hs = np.zeros((t + 1, b, h))
+        cs = np.zeros((slots + 1, b, h))
+        gates = np.empty((slots, b, 4 * h))
+        tanh_c = np.empty((slots, b, h))
         for step in range(t):
-            z = zx[:, step] + h_state @ layer.w_h.T
-            i_g = _sigmoid(z[:, :h])
-            f_g = _sigmoid(z[:, h : 2 * h])
-            g_g = np.tanh(z[:, 2 * h : 3 * h])
-            o_g = _sigmoid(z[:, 3 * h :])
-            c_new = f_g * c_state + i_g * g_g
-            tanh_c = np.tanh(c_new)
-            if trace is not None:
-                trace.h_prev[:, step] = h_state
-                trace.c_prev[:, step] = c_state
-                trace.i[:, step] = i_g
-                trace.f[:, step] = f_g
-                trace.g[:, step] = g_g
-                trace.o[:, step] = o_g
-                trace.tanh_c[:, step] = tanh_c
-            h_state = o_g * tanh_c
-            c_state = c_new
-            h_seq[:, step] = h_state
-        if trace is not None:
-            traces.append(trace)
-        x = h_seq
-    h_top = x[:, -1]
+            k = step % slots
+            lstm_step(zx[step], hs[step], cs[step % (slots + 1)], w_hT,
+                      gates[k], cs[(step + 1) % (slots + 1)], tanh_c[k],
+                      hs[step + 1])
+        if want_cache:
+            traces.append(_LayerTrace(x=x, gates=gates, hs=hs, cs=cs,
+                                      tanh_c=tanh_c))
+        x = hs[1:]
+    h_top = hs[t]
     z_head = h_top @ model.head_w[:h] + static @ model.head_w[h:] + model.head_b[0]
-    p = _sigmoid(z_head)
+    p = sigmoid(z_head)
     cache = ForwardCache(traces=traces, h_top=h_top, static=static, p=p) \
         if want_cache else None
     return p, cache
-
-
-def forward(seq: np.ndarray, static: np.ndarray, model: LstmModel) -> float:
-    """Probability of the positive class for a single stay."""
-    p, _ = forward_batch(seq[None, :, :], np.asarray(static)[None, :], model)
-    return float(p[0])
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -227,44 +228,43 @@ def backward_batch(model: LstmModel, cache: ForwardCache, labels: np.ndarray
     grads["head.w"] = head_in.T @ dz
     grads["head.b"] = np.array([dz.sum()])
 
-    t = cache.traces[0].x.shape[1]
+    t = cache.traces[0].tanh_c.shape[0]
+    dz_all = np.empty((t, b, 4 * h))
+    dz_flat = dz_all.reshape(t * b, 4 * h)
+    deriv = np.empty((b, 4 * h))
     # Gradient flowing into each layer's output sequence; the top layer only
     # receives signal at the final step, through the head.
-    d_h_seq = np.zeros((b, t, h))
-    d_h_seq[:, -1] = np.outer(dz, model.head_w[:h])
-
+    d_out = None
     for layer_idx in range(N_LAYERS - 1, -1, -1):
         layer = model.layers[layer_idx]
         trace = cache.traces[layer_idx]
-        d_z_all = np.empty((b, t, 4 * h))
-        dh_carry = np.zeros((b, h))
+        dh_carry = (np.outer(dz, model.head_w[:h]) if d_out is None
+                    else np.zeros((b, h)))
         dc_carry = np.zeros((b, h))
         for step in range(t - 1, -1, -1):
-            dh = d_h_seq[:, step] + dh_carry
-            i_g = trace.i[:, step]
-            f_g = trace.f[:, step]
-            g_g = trace.g[:, step]
-            o_g = trace.o[:, step]
-            tanh_c = trace.tanh_c[:, step]
-            do = dh * tanh_c
+            dh = dh_carry if d_out is None else d_out[step] + dh_carry
+            gates = trace.gates[step]
+            i_g, f_g, g_g, o_g = gates.reshape(b, 4, h).transpose(1, 0, 2)
+            tanh_c = trace.tanh_c[step]
             dc = dc_carry + dh * o_g * (1.0 - tanh_c * tanh_c)
-            di = dc * g_g
-            dg = dc * i_g
-            df = dc * trace.c_prev[:, step]
-            dz_step = d_z_all[:, step]
-            dz_step[:, :h] = di * i_g * (1.0 - i_g)
-            dz_step[:, h : 2 * h] = df * f_g * (1.0 - f_g)
-            dz_step[:, 2 * h : 3 * h] = dg * (1.0 - g_g * g_g)
-            dz_step[:, 3 * h :] = do * o_g * (1.0 - o_g)
-            dh_carry = dz_step @ layer.w_h
+            row = dz_all[step]
+            np.multiply(dc, g_g, out=row[:, :h])
+            np.multiply(dc, trace.cs[step], out=row[:, h : 2 * h])
+            np.multiply(dc, i_g, out=row[:, 2 * h : 3 * h])
+            np.multiply(dh, tanh_c, out=row[:, 3 * h :])
+            # s(1 - s) on the sigmoid gates, 1 - g^2 on the cell gate.
+            np.subtract(1.0, gates, out=deriv)
+            deriv *= gates
+            np.subtract(1.0, g_g * g_g, out=deriv[:, 2 * h : 3 * h])
+            row *= deriv
+            dh_carry = row @ layer.w_h
             dc_carry = dc * f_g
-        dz_flat = d_z_all.reshape(b * t, 4 * h)
         name = f"layer{layer_idx + 1}"
-        grads[f"{name}.w_x"] = dz_flat.T @ trace.x.reshape(b * t, -1)
-        grads[f"{name}.w_h"] = dz_flat.T @ trace.h_prev.reshape(b * t, h)
+        grads[f"{name}.w_x"] = dz_flat.T @ trace.x.reshape(t * b, -1)
+        grads[f"{name}.w_h"] = dz_flat.T @ trace.hs[:-1].reshape(t * b, h)
         grads[f"{name}.b"] = dz_flat.sum(axis=0)
         if layer_idx > 0:
-            d_h_seq = (dz_flat @ layer.w_x).reshape(b, t, -1)
+            d_out = (dz_flat @ layer.w_x).reshape(t, b, -1)
     return grads
 
 
@@ -298,32 +298,33 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> LstmModel:
+    """Read a save_checkpoint file; any malformed content is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing checkpoint file: expected {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise DataError(f"{path}: not a model checkpoint (bad magic)")
-        (h,) = struct.unpack("<I", fh.read(4))
+    blob = path.read_bytes()
+    buf = io.BytesIO(blob)
+    if buf.read(len(MAGIC)) != MAGIC:
+        raise DataError(f"{path}: not a model checkpoint (bad magic)")
 
-        def read_mat() -> np.ndarray:
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = fh.read(rows * cols * 8)
-            if len(data) != rows * cols * 8:
-                raise DataError(f"{path}: truncated checkpoint")
-            return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+    def take(n: int) -> bytes:
+        if n > len(blob) - buf.tell():
+            raise DataError(f"{path}: truncated checkpoint")
+        return buf.read(n)
 
-        layers = []
-        for _ in range(N_LAYERS):
-            w_x = read_mat()
-            w_h = read_mat()
-            b = read_mat().reshape(-1)
-            layers.append(LstmLayerParams(w_x=w_x, w_h=w_h, b=b))
-        head_w = read_mat().reshape(-1)
-        head_b = read_mat().reshape(-1)
-    model = LstmModel(layers=layers, head_w=head_w, head_b=head_b, hidden_size=h)
-    for layer in model.layers:
-        if layer.w_h.shape != (4 * h, h):
-            raise DataError(f"{path}: inconsistent tensor shapes")
+    def read_mat() -> np.ndarray:
+        rows, cols = struct.unpack("<II", take(8))
+        data = take(rows * cols * 8)
+        return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+
+    (h,) = struct.unpack("<I", take(4))
+    layers = [LstmLayerParams(read_mat(), read_mat(), read_mat().reshape(-1))
+              for _ in range(N_LAYERS)]
+    model = LstmModel(layers=layers, head_w=read_mat().reshape(-1),
+                      head_b=read_mat().reshape(-1), hidden_size=h)
+    widths = [layers[0].w_x.shape[1]] + [h] * (N_LAYERS - 1)
+    expected = [((4 * h, d), (4 * h, h), (4 * h,)) for d in widths]
+    found = [(l.w_x.shape, l.w_h.shape, l.b.shape) for l in layers]
+    if h < 1 or found != expected or model.head_w.size <= h or model.head_b.size != 1:
+        raise DataError(f"{path}: inconsistent tensor shapes")
     return model

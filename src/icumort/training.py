@@ -13,7 +13,7 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .errors import ConfigError, TrainingError
-from .metrics import auc_oracle
+from .metrics import evaluate_scores
 from .nn import (
     LstmModel,
     backward_batch,
@@ -91,12 +91,6 @@ class EarlyStopper:
         return self.bad_epochs >= self.patience
 
 
-def _safe_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    if len(set(int(y) for y in labels)) < 2:
-        return float("nan")
-    return auc_oracle(scores, labels)
-
-
 def train(
     train_data: tuple[np.ndarray, np.ndarray, np.ndarray],
     val_data: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -150,7 +144,7 @@ def train(
 
         val_scores = predict(model, seq_va, static_va)
         val_loss = bce_loss(val_scores, y_va)
-        val_auc = _safe_auc(val_scores, y_va)
+        val_auc = evaluate_scores(val_scores, y_va).auc
         history.append(EpochStats(epoch, train_loss, val_loss, val_auc))
         monitored = val_loss if config.monitor == "loss" else val_auc
         if stopper.update(monitored, epoch):

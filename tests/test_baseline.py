@@ -154,3 +154,29 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.bias == model.bias
     assert loaded.lam == model.lam
     assert "seed 7" in path.read_text()
+
+
+@pytest.mark.parametrize("garble", [
+    "seq_c0_h47 1.0 2.0",  # an extra 3-field line
+    "bias",
+    "bias notanumber",
+    "bias nan",
+])
+def test_garbled_checkpoint_line_rejected(tmp_path, garble):
+    path = tmp_path / "lr.txt"
+    save_lr(LrModel(weights=np.zeros(20), bias=0.5, lam=1.0), path, seed=1)
+    lines = path.read_text().splitlines()
+    if garble.startswith("bias"):
+        lines[-1] = garble
+    else:
+        lines.append(garble)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="lr.txt"):
+        load_lr(path)
+
+
+def test_binary_checkpoint_rejected(tmp_path):
+    path = tmp_path / "lr.txt"
+    path.write_bytes(b"\xff\xfe bias 1\n")
+    with pytest.raises(DataError, match="lr.txt"):
+        load_lr(path)

@@ -55,3 +55,44 @@ def test_evaluate_survives_a_one_class_test_split(tmp_path, capsys):
     assert log["counts"]["LogisticRegression_test_auc"] is None
     assert isinstance(log["counts"]["LSTM_val_auc"], float)
     assert len(log["warnings"]) == 1
+
+
+def test_train_rejects_a_death_free_train_split_before_training(
+        tmp_path, capsys):
+    # At this seed and size the train split holds no death.
+    out = tmp_path / "run"
+    assert main(["run-all", "--out", str(out), "--seed", "4",
+                 "--synth-patients", "30", *_CLEAN]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "error: labels are single-class; cannot fit a classifier"]
+    assert not (out / "lstm_checkpoint.bin").exists()
+    assert not (out / "logreg_checkpoint.txt").exists()
+    assert not (out / "logs" / "train_log.json").exists()
+
+
+def test_evaluate_rejects_malformed_model_files(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run-all", "--out", str(out), "--seed", "3",
+                 "--synth-patients", "30", "--max-epochs", "1", *_CLEAN]) == 0
+    lstm, lr = out / "lstm_checkpoint.bin", out / "logreg_checkpoint.txt"
+    lstm_bytes, lr_text = lstm.read_bytes(), lr.read_text()
+    garbles = [
+        (lstm, lstm_bytes[:7]),
+        (lr, lr_text + "bias 1.0 2.0\n"),
+        (lr, "".join("bias notanumber\n" if line.startswith("bias ") else line
+                     for line in lr_text.splitlines(keepends=True))),
+    ]
+    for path, content in garbles:
+        capsys.readouterr()
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main(["evaluate", "--work", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert path.name in err[0]
+        lstm.write_bytes(lstm_bytes)
+        lr.write_text(lr_text)
+    assert main(["evaluate", "--work", str(out)]) == 0

@@ -5,14 +5,14 @@ import pytest
 
 from icumort.errors import DataError, DimensionError
 from icumort.nn import (
+    MAGIC,
     LstmLayerParams,
     backward_batch,
     bce_loss,
-    forward,
     forward_batch,
     init_weights,
     load_checkpoint,
-    lstm_cell,
+    lstm_step,
     named_params,
     predict,
     save_checkpoint,
@@ -41,6 +41,72 @@ def scalar_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
         c_new.append(c)
         h_new.append(o * math.tanh(c))
     return h_new, c_new
+
+
+def forward(seq, static, model):
+    """Probability of the positive class for a single stay."""
+    p, _ = forward_batch(seq[None, :, :], np.asarray(static)[None, :], model)
+    return float(p[0])
+
+
+def run_step(x, h_prev, c_prev, params):
+    """One production step on a layer input row; returns (h_t, c_t)."""
+    b, h = h_prev.shape
+    gates = np.empty((b, 4 * h))
+    c_t, tanh_c, h_t = np.empty((b, h)), np.empty((b, h)), np.empty((b, h))
+    lstm_step(x @ params.w_x.T + params.b, h_prev, c_prev,
+              np.ascontiguousarray(params.w_h.T), gates, c_t, tanh_c, h_t)
+    return h_t, c_t
+
+
+def reference_bptt(seq, static, model, labels):
+    """Batch-major forward and backward with 1/(1+exp(-z)) gates, step by
+    step: returns (p, gradients keyed like named_params)."""
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    h = model.hidden_size
+    b, t, _ = seq.shape
+    x, layer_steps = seq, []
+    for layer in model.layers:
+        h_state, c_state, steps = np.zeros((b, h)), np.zeros((b, h)), []
+        for step in range(t):
+            z = x[:, step] @ layer.w_x.T + h_state @ layer.w_h.T + layer.b
+            i, f = sig(z[:, :h]), sig(z[:, h : 2 * h])
+            g, o = np.tanh(z[:, 2 * h : 3 * h]), sig(z[:, 3 * h :])
+            c_new = f * c_state + i * g
+            steps.append((x[:, step], h_state, c_state, i, f, g, o,
+                          np.tanh(c_new)))
+            h_state, c_state = o * np.tanh(c_new), c_new
+        layer_steps.append(steps)
+        x = np.stack([o * tc for *_, o, tc in steps], axis=1)
+    head_in = np.concatenate([x[:, -1], static], axis=1)
+    p = sig(head_in @ model.head_w + model.head_b[0])
+
+    dz_head = (p - labels) / b
+    grads = {"head.w": head_in.T @ dz_head, "head.b": np.array([dz_head.sum()])}
+    d_out = np.zeros((b, t, h))
+    d_out[:, -1] = np.outer(dz_head, model.head_w[:h])
+    for idx in range(len(model.layers) - 1, -1, -1):
+        layer, name = model.layers[idx], f"layer{idx + 1}"
+        grads.update({f"{name}.w_x": 0.0, f"{name}.w_h": 0.0, f"{name}.b": 0.0})
+        d_in = np.zeros((b, t, layer.w_x.shape[1]))
+        dh_next, dc_next = np.zeros((b, h)), np.zeros((b, h))
+        for step in range(t - 1, -1, -1):
+            x_t, h_prev, c_prev, i, f, g, o, tc = layer_steps[idx][step]
+            dh = d_out[:, step] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dz = np.concatenate([dc * g * i * (1.0 - i),
+                                 dc * c_prev * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g),
+                                 dh * tc * o * (1.0 - o)], axis=1)
+            grads[f"{name}.w_x"] = grads[f"{name}.w_x"] + dz.T @ x_t
+            grads[f"{name}.w_h"] = grads[f"{name}.w_h"] + dz.T @ h_prev
+            grads[f"{name}.b"] = grads[f"{name}.b"] + dz.sum(axis=0)
+            d_in[:, step] = dz @ layer.w_x
+            dh_next, dc_next = dz @ layer.w_h, dc * f
+        d_out = d_in
+    return p, grads
 
 
 def flat_params(model):
@@ -89,8 +155,8 @@ class TestCell:
         params = LstmLayerParams(
             w_x=np.zeros((4 * h, 2)), w_h=np.zeros((4 * h, h)), b=np.zeros(4 * h)
         )
-        h_t, c_t, _ = lstm_cell(np.zeros((1, 2)), np.zeros((1, h)),
-                                np.zeros((1, h)), params)
+        h_t, c_t = run_step(np.zeros((1, 2)), np.zeros((1, h)),
+                            np.zeros((1, h)), params)
         assert np.all(h_t == 0.0)
         assert np.all(c_t == 0.0)
 
@@ -101,7 +167,7 @@ class TestCell:
         )
         params.b[h : 2 * h] = 100.0  # forget gate pinned open
         c_prev = np.array([[0.3, -0.7, 1.1]])
-        _, c_t, _ = lstm_cell(np.zeros((1, 2)), np.zeros((1, 3)), c_prev, params)
+        _, c_t = run_step(np.zeros((1, 2)), np.zeros((1, 3)), c_prev, params)
         assert np.max(np.abs(c_t - c_prev)) < 1e-12
 
     def test_matches_scalar_reference(self):
@@ -115,7 +181,7 @@ class TestCell:
         x = rng.normal(size=(1, d))
         h_prev = rng.normal(size=(1, h))
         c_prev = rng.normal(size=(1, h))
-        h_t, c_t, _ = lstm_cell(x, h_prev, c_prev, params)
+        h_t, c_t = run_step(x, h_prev, c_prev, params)
         h_ref, c_ref = scalar_lstm_step(
             x[0].tolist(), h_prev[0].tolist(), c_prev[0].tolist(),
             params.w_x.tolist(), params.w_h.tolist(), params.b.tolist(),
@@ -124,12 +190,11 @@ class TestCell:
         assert np.max(np.abs(c_t[0] - np.array(c_ref))) < 1e-12
 
     def test_shape_mismatch_reported(self):
-        h = 2
-        params = LstmLayerParams(
-            w_x=np.zeros((4 * h, 3)), w_h=np.zeros((4 * h, h)), b=np.zeros(4 * h)
-        )
+        model = init_weights(hidden_size=2, seed=0)
         with pytest.raises(DimensionError):
-            lstm_cell(np.zeros((1, 5)), np.zeros((1, h)), np.zeros((1, h)), params)
+            forward_batch(np.zeros((1, 4, 5)), np.zeros((1, 7)), model)
+        with pytest.raises(DimensionError):
+            forward_batch(np.zeros((1, 4, 13)), np.zeros((1, 6)), model)
 
 
 class TestForward:
@@ -171,6 +236,35 @@ class TestForward:
         batch, _ = forward_batch(seq, static, model)
         singles = np.array([forward(seq[i], static[i], model) for i in range(7)])
         assert np.max(np.abs(batch - singles)) < 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 7, 33])
+    def test_whole_sequence_and_gradients_match_reference(self, batch):
+        model = init_weights(hidden_size=64, seed=batch)
+        rng = np.random.default_rng(batch)
+        seq = rng.normal(size=(batch, 48, 13))
+        static = rng.normal(size=(batch, 7))
+        labels = (rng.random(batch) < 0.5).astype(float)
+        p, cache = forward_batch(seq, static, model, want_cache=True)
+        p_ref, grads_ref = reference_bptt(seq, static, model, labels)
+        assert np.max(np.abs(p - p_ref)) < 1e-12
+        grads = backward_batch(model, cache, labels)
+        for name, _ in named_params(model):
+            assert np.max(np.abs(grads[name] - grads_ref[name])) < 1e-12, name
+
+    @pytest.mark.parametrize("batch", [1, 7, 33])
+    def test_cache_leaves_probabilities_bit_identical(self, batch):
+        model = init_weights(hidden_size=64, seed=4)
+        rng = np.random.default_rng(batch)
+        seq = rng.normal(size=(batch, 48, 13))
+        static = rng.normal(size=(batch, 7))
+        p_plain, none = forward_batch(seq, static, model)
+        p_cached, cache = forward_batch(seq, static, model, want_cache=True)
+        assert none is None
+        assert np.array_equal(p_plain, p_cached)
+        assert np.array_equal(cache.p, p_cached)
+        for trace in cache.traces:
+            assert np.all(trace.hs[0] == 0.0) and np.all(trace.cs[0] == 0.0)
+        assert np.array_equal(cache.h_top, cache.traces[-1].hs[-1])
 
 
 class TestLoss:
@@ -293,6 +387,26 @@ class TestPredictAndCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTME" + b"\x00" * 64)
         with pytest.raises(DataError, match="magic"):
+            load_checkpoint(path)
+
+    def test_truncated_header_or_shape_record_rejected(self, tmp_path):
+        model = init_weights(hidden_size=2, seed=0)
+        full = tmp_path / "model.bin"
+        save_checkpoint(model, full)
+        blob = full.read_bytes()
+        header = len(MAGIC) + 4 + 8  # magic, hidden size, first shape record
+        for cut in range(header + 1):
+            path = tmp_path / f"cut{cut}.bin"
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match=f"cut{cut}.bin"):
+                load_checkpoint(path)
+
+    def test_inconsistent_shapes_rejected(self, tmp_path):
+        model = init_weights(hidden_size=2, seed=0)
+        model.layers[1].b = np.zeros(5)
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="inconsistent tensor shapes"):
             load_checkpoint(path)
 
     def test_missing_checkpoint_names_file(self, tmp_path):

@@ -90,6 +90,22 @@ class TestTrain:
         _, history = train(data, val, config)
         assert np.isfinite(history[0].train_loss)
 
+    @pytest.mark.parametrize("distinct", [5, 20])
+    def test_val_auc_matches_pair_count_oracle(self, distinct):
+        # Five distinct validation stays repeated four times tie their
+        # scores; twenty distinct stays give untied random scores.
+        data = toy_dataset(16, seed=17)
+        seq, static, _ = toy_dataset(distinct, seed=18)
+        reps = 20 // distinct
+        labels = (np.random.default_rng(19).random(20) < 0.5).astype(float)
+        labels[:2] = [0.0, 1.0]
+        val = (np.tile(seq, (reps, 1, 1)), np.tile(static, (reps, 1)), labels)
+        config = TrainConfig(batch_size=8, max_epochs=1, seed=20, hidden_size=4)
+        model, history = train(data, val, config)
+        scores = predict(model, val[0], val[1])
+        assert len(set(scores.tolist())) == distinct
+        assert abs(history[0].val_auc - auc_oracle(scores, labels)) < 1e-12
+
     def test_empty_split_rejected(self):
         data = toy_dataset(10, seed=16)
         empty = (np.zeros((0, 12, 13)), np.zeros((0, 7)), np.zeros(0))
