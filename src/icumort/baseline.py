@@ -18,7 +18,6 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .errors import ConfigError, DataError
-from .featurize import FeatureTensor
 from .nn import sigmoid
 
 N_LR_FEATURES = 20
@@ -35,9 +34,9 @@ class LrModel:
     lam: float
 
 
-def last_hour_features(tensor: FeatureTensor) -> np.ndarray:
-    """Hour-47 channel values concatenated with the static vector."""
-    return np.concatenate([tensor.seq[-1], tensor.static])
+def last_hour_features(seq: np.ndarray, static: np.ndarray) -> np.ndarray:
+    """Hour-47 channel values of (n, 48, 13) ``seq`` beside (n, 7) ``static``."""
+    return np.concatenate([seq[:, -1, :], static], axis=1)
 
 
 def lr_objective(weights: np.ndarray, bias: float, features: np.ndarray,

@@ -6,6 +6,14 @@ from the single ``--seed`` through per-stage derivation, so stages are
 independently reproducible and ``run-all`` equals the composition of the
 individual stages. Errors exit nonzero with one ``error: ...`` line on
 stderr.
+
+Option defaults live in one place each: the synth and train options, with
+their defaults, are the fields of ``synth.SynthConfig`` and
+``training.TrainConfig``; the rest are in ``_DEFAULTS`` below. An option's
+type follows from its default (a bool is a switch; no default is a path,
+or an integer for ``seed`` and ``synth_patients``). ``--config FILE`` reads
+``key=value`` lines (dashes or underscores in keys, ``#`` comment lines,
+``true``/``false`` for switches); flags on the command line win over it.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,22 +74,8 @@ def stage_synth(args: dict) -> None:
     _require(args, "out", "seed", "synth_patients")
     started = time.monotonic()
     out_dir = Path(args["out"])
-    config = synth.SynthConfig(
-        n_patients=args["synth_patients"],
-        seed=derive_seed(args["seed"], "synth"),
-        mortality_rate=args["mortality_rate"],
-        readmission_rate=args["readmission_rate"],
-        long_stay_frac=args["long_stay_frac"],
-        age_min=args["age_min"],
-        age_max=args["age_max"],
-        signal_mode=args["signal"],
-        effect_size=args["effect_size"],
-        missing_scale=args["missing_scale"],
-        celsius_rate=args["celsius_rate"],
-        error_text_rate=args["error_text_rate"],
-        duplicate_rate=args["duplicate_rate"],
-        missing_span_rate=args["missing_span_rate"],
-    )
+    config = _config_from_args(synth.SynthConfig, args,
+                               seed=derive_seed(args["seed"], "synth"))
     counts = synth.generate(config, out_dir)
     if (config.celsius_rate or config.error_text_rate or config.duplicate_rate
             or config.missing_span_rate):
@@ -142,9 +136,9 @@ def stage_cohort(args: dict) -> None:
     )
     out_path = work_dir / "cohort.csv"
     cohort.write_cohort_csv(out_path, included, split)
-    counts["split_train"] = sum(1 for v in split.assignments.values() if v == "train")
-    counts["split_val"] = sum(1 for v in split.assignments.values() if v == "val")
-    counts["split_test"] = sum(1 for v in split.assignments.values() if v == "test")
+    for name in cohort.SPLITS:
+        counts[f"split_{name}"] = sum(1 for v in split.assignments.values()
+                                      if v == name)
     _write_stage_log(work_dir, "cohort", args["seed"], counts,
                      ["cohort.csv"], started)
     print(f"cohort: {counts['included']} of {counts['stays_total']} stays "
@@ -210,22 +204,11 @@ def stage_train(args: dict) -> None:
     train_data = _split_arrays(tensors, split_by_stay, "train")
     val_data = _split_arrays(tensors, split_by_stay, "val")
     # Fit the baseline first, so a one-class train split fails before training.
-    lr_features = np.stack([
-        baseline.last_hour_features(t) for t in tensors
-        if split_by_stay[t.stay_id] == "train"
-    ])
-    lr_model = baseline.train_lr(lr_features, train_data[2],
-                                 lam=args["l2_lambda"])
+    lr_model = baseline.train_lr(baseline.last_hour_features(*train_data[:2]),
+                                 train_data[2], lam=args["l2_lambda"])
 
-    config = training.TrainConfig(
-        batch_size=args["batch_size"],
-        max_epochs=args["max_epochs"],
-        patience=args["patience"],
-        seed=derive_seed(args["seed"], "train-stage"),
-        learning_rate=args["learning_rate"],
-        hidden_size=args["hidden"],
-        monitor=args["monitor"],
-    )
+    config = _config_from_args(training.TrainConfig, args,
+                               seed=derive_seed(args["seed"], "train-stage"))
     model, history = training.train(train_data, val_data, config)
     nn.save_checkpoint(model, work_dir / "lstm_checkpoint.bin")
     _write_model_manifest(work_dir, args, config)
@@ -282,8 +265,7 @@ def stage_evaluate(args: dict) -> None:
         seq, static, labels = _split_arrays(tensors, split_by_stay, split)
         lstm_scores = nn.predict(model, seq, static)
         lr_scores = baseline.predict_lr(
-            lr_model, np.concatenate([seq[:, -1, :], static], axis=1)
-        )
+            lr_model, baseline.last_hour_features(seq, static))
         reports.append((MODEL_LSTM, split,
                         metrics.evaluate_scores(lstm_scores, labels, threshold)))
         reports.append((MODEL_LR, split,
@@ -357,6 +339,31 @@ def run_all(args: dict) -> None:
     stage_evaluate(stage_args)
 
 
+# Config fields the stages set themselves rather than take as options.
+_DERIVED_FIELDS = frozenset({"seed", "missing_rate", "shuffle"})
+# Option names that differ from their config field names.
+_OPTION_NAMES = {"n_patients": "synth_patients", "signal_mode": "signal",
+                 "hidden_size": "hidden"}
+# Options without a default that take integers; the others are paths or text.
+_INT_OPTIONS = frozenset({"seed", "synth_patients"})
+
+
+def _config_fields(config_cls) -> list:
+    return [f for f in fields(config_cls) if f.name not in _DERIVED_FIELDS]
+
+
+def _config_defaults(config_cls) -> dict:
+    """Options of a config dataclass with its defaults (None where it has none)."""
+    return {_OPTION_NAMES.get(f.name, f.name):
+            None if f.default is MISSING else f.default
+            for f in _config_fields(config_cls)}
+
+
+def _config_from_args(config_cls, args: dict, **derived):
+    return config_cls(**{f.name: args[_OPTION_NAMES.get(f.name, f.name)]
+                         for f in _config_fields(config_cls)}, **derived)
+
+
 _COMMON_DEFAULTS = {
     "seed": None,
     "config": None,
@@ -366,19 +373,7 @@ _DEFAULTS: dict[str, dict] = {
     "synth": {
         **_COMMON_DEFAULTS,
         "out": None,
-        "synth_patients": None,
-        "mortality_rate": 0.115,
-        "readmission_rate": 0.15,
-        "long_stay_frac": 0.8,
-        "age_min": 14.0,
-        "age_max": 97.0,
-        "signal": "none",
-        "effect_size": 1.0,
-        "missing_scale": 1.0,
-        "celsius_rate": 0.25,
-        "error_text_rate": 0.05,
-        "duplicate_rate": 0.05,
-        "missing_span_rate": 0.1,
+        **_config_defaults(synth.SynthConfig),
     },
     "describe": {"data": None, "out": None, "config": None},
     "cohort": {
@@ -400,13 +395,8 @@ _DEFAULTS: dict[str, dict] = {
     "train": {
         **_COMMON_DEFAULTS,
         "work": None,
-        "hidden": 64,
-        "batch_size": 32,
-        "max_epochs": 10,
-        "patience": 3,
-        "learning_rate": 0.001,
+        **_config_defaults(training.TrainConfig),
         "l2_lambda": 1.0,
-        "monitor": "loss",
     },
     "evaluate": {
         **_COMMON_DEFAULTS,
@@ -419,14 +409,22 @@ _DEFAULTS["run-all"] = {
     for cmd in ("synth", "cohort", "featurize", "train", "evaluate")
     for key, value in _DEFAULTS[cmd].items()
 }
-_DEFAULTS["run-all"]["data"] = None
-_DEFAULTS["run-all"]["out"] = None
 
-_FLAG_KEYS = {"literal_means", "literal_urine_pick", "no_standardize"}
-_INT_KEYS = {"seed", "synth_patients", "hidden", "batch_size", "max_epochs",
-             "patience"}
-_STR_KEYS = {"out", "data", "work", "config", "signal", "monitor",
-             "icd9_flags", "surgical_services", "registry"}
+
+def _parse_flag(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise ValueError("expected a boolean")
+    return text.lower() in ("true", "1")
+
+
+def _converter(key: str, default):
+    """Text-to-value conversion of one option, worked out from its default."""
+    if isinstance(default, bool):
+        return _parse_flag
+    if default is None:
+        return int if key in _INT_OPTIONS else str
+    return type(default)
+
 
 _STAGES = {
     "synth": stage_synth,
@@ -440,26 +438,24 @@ _STAGES = {
 
 
 def _add_arguments(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    for key in defaults:
-        flag = "--" + key.replace("_", "-")
-        if key in _FLAG_KEYS:
-            parser.add_argument(flag, dest=key, action="store_true",
-                                default=argparse.SUPPRESS)
-        elif key in _INT_KEYS:
-            parser.add_argument(flag, dest=key, type=int,
-                                default=argparse.SUPPRESS)
-        elif key in _STR_KEYS:
-            parser.add_argument(flag, dest=key, type=str,
-                                default=argparse.SUPPRESS)
-        else:
-            parser.add_argument(flag, dest=key, type=float,
-                                default=argparse.SUPPRESS)
+    for key, default in defaults.items():
+        convert = _converter(key, default)
+        kind = ({"action": "store_true"} if convert is _parse_flag
+                else {"type": convert})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=argparse.SUPPRESS, **kind)
 
 
 def _parse_config_file(path: str, allowed: dict) -> dict:
     """Plain key=value config; CLI flags win on conflict."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text") from exc
     values: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -467,20 +463,10 @@ def _parse_config_file(path: str, allowed: dict) -> dict:
             raise ConfigError(f"config {path} line {line_no}: expected key=value")
         key, _, raw_value = line.partition("=")
         key = key.strip().replace("-", "_")
-        raw_value = raw_value.strip()
         if key not in allowed:
             raise ConfigError(f"config {path} line {line_no}: unknown key {key}")
         try:
-            if key in _FLAG_KEYS:
-                if raw_value.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError("expected a boolean")
-                values[key] = raw_value.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                values[key] = int(raw_value)
-            elif key in _STR_KEYS:
-                values[key] = raw_value
-            else:
-                values[key] = float(raw_value)
+            values[key] = _converter(key, allowed[key])(raw_value.strip())
         except ValueError as exc:
             raise ConfigError(
                 f"config {path} line {line_no}: bad value for {key}: {exc}"

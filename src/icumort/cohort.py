@@ -27,6 +27,7 @@ from .tables import (
     ServiceRow,
     StayRow,
     parse_timestamp,
+    read_artifact_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -43,6 +44,7 @@ SHIFTED_AGE_CLAMP = 91.4
 SCHEDULED_SURGICAL = "ScheduledSurgical"
 UNSCHEDULED_SURGICAL = "UnscheduledSurgical"
 MEDICAL = "Medical"
+ADMISSION_CATEGORIES = (SCHEDULED_SURGICAL, UNSCHEDULED_SURGICAL, MEDICAL)
 
 DEFAULT_SURGICAL_SERVICES = frozenset(
     {"CSURG", "NSURG", "ORTHO", "PSURG", "SURG", "TSURG", "TRAUM", "VSURG"}
@@ -328,28 +330,48 @@ def write_cohort_csv(path: str | Path, cohort: Sequence[CohortStay],
             ])
 
 
+def parse_bit(text: str) -> bool:
+    """A 0/1 field of a pipeline artifact; anything else is a ValueError."""
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, found {text!r}")
+    return text == "1"
+
+
+def parse_split(text: str) -> str:
+    if text not in SPLITS:
+        raise ValueError(f"unknown split {text!r}")
+    return text
+
+
 def read_cohort_csv(path: str | Path) -> tuple[list[CohortStay], dict[int, str]]:
-    """Read a cohort file back; returns (stays, split by subject_id)."""
-    if not Path(path).exists():
-        raise DataError(f"missing cohort file: expected {path}")
+    """Read a cohort file back; returns (stays, split by subject_id).
+
+    A row that cannot have been written by ``write_cohort_csv`` raises
+    DataError naming the file and line.
+    """
     stays: list[CohortStay] = []
     splits: dict[int, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+    try:
+        for line, row in read_artifact_rows(path, _COHORT_HEADER):
+            (icustay_id, subject_id, hadm_id, intime, age, category, aids,
+             hem_malig, metastatic, label, split) = row
+            if category not in ADMISSION_CATEGORIES:
+                raise ValueError(f"unknown admission category {category!r}")
             stay = CohortStay(
-                icustay_id=int(row["icustay_id"]),
-                subject_id=int(row["subject_id"]),
-                hadm_id=int(row["hadm_id"]),
-                intime=parse_timestamp(row["intime"]),
+                icustay_id=int(icustay_id),
+                subject_id=int(subject_id),
+                hadm_id=int(hadm_id),
+                intime=parse_timestamp(intime),
                 outtime=None,
-                age_years=float(row["age_years"]),
-                admission_category=row["admission_category"],
-                aids=row["aids"] == "1",
-                hematologic_malignancy=row["hem_malig"] == "1",
-                metastatic_cancer=row["metastatic"] == "1",
-                label_mortality=row["label"] == "1",
+                age_years=float(age),
+                admission_category=category,
+                aids=parse_bit(aids),
+                hematologic_malignancy=parse_bit(hem_malig),
+                metastatic_cancer=parse_bit(metastatic),
+                label_mortality=parse_bit(label),
             )
             stays.append(stay)
-            splits[stay.subject_id] = row["split"]
+            splits[stay.subject_id] = parse_split(split)
+    except ValueError as exc:
+        raise DataError(f"{path}:{line}: {exc}") from exc
     return stays, splits

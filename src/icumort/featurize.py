@@ -33,11 +33,13 @@ from .cohort import (
     SCHEDULED_SURGICAL,
     UNSCHEDULED_SURGICAL,
     CohortStay,
+    parse_bit,
+    parse_split,
 )
 from .errors import ConfigError, DataError
 from .items import CHANNELS, N_CHANNELS, ItemRegistry, parse_numeric, resolve_item
 from .seeding import SplitMix64, derive_seed
-from .tables import RawEvent, parse_table, table_path, EVENT_SCHEMAS
+from .tables import parse_table, read_artifact_rows, table_path, EVENT_SCHEMAS
 
 WINDOW_HOURS = 48
 WINDOW_MINUTES = WINDOW_HOURS * 60
@@ -262,49 +264,18 @@ def finish_tensor(stay: CohortStay, series: Sequence[Sequence[Optional[float]]],
     return tensor
 
 
-def bucket_event(event: RawEvent, stay: CohortStay, registry: ItemRegistry
-                 ) -> Optional[tuple[int, tuple[int, float, str]]]:
-    """Resolve one raw event against one stay; None if it does not apply."""
-    resolved = resolve_item(registry, event.item_id)
-    if resolved is None:
-        return None
-    if event.icustay_id is not None and event.icustay_id != stay.icustay_id:
-        return None
-    if event.icustay_id is None and event.hadm_id != stay.hadm_id:
-        return None
-    minute = int((event.charttime - stay.intime).total_seconds() // 60)
-    if not 0 <= minute < WINDOW_MINUTES:
-        return None
-    value = parse_numeric(event.value_num, event.value_text)
-    if value is None:
-        return None
-    channel, subrole = resolved
-    return channel.channel_index, (minute, value, subrole)
-
-
-def build_tensor(stay: CohortStay, events: Iterable[RawEvent],
-                 registry: ItemRegistry, stats: PopulationStats,
-                 global_seed: int, *, literal_urine_pick: bool = False,
-                 standardize: bool = True) -> FeatureTensor:
-    """Full tensor assembly for one stay from raw events."""
-    bucketed: StayEvents = [[] for _ in range(N_CHANNELS)]
-    for event in events:
-        hit = bucket_event(event, stay, registry)
-        if hit is not None:
-            bucketed[hit[0]].append(hit[1])
-    series = assemble_hourly(stay.icustay_id, bucketed, global_seed,
-                             literal_urine_pick)
-    return finish_tensor(stay, series, stats, standardize)
-
-
 def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
                         registry: ItemRegistry, error_policy: str = "skip"
                         ) -> tuple[dict[int, StayEvents], dict[str, int]]:
     """Stream the three event tables and bucket usable values per stay.
 
-    Chart and output events carry a stay id and are attributed directly; lab
-    events carry only the admission id and are attributed to the cohort stay
-    of that admission when their time falls inside the 48 hour window.
+    This is the pipeline's only event-to-stay attribution rule. An event
+    with a stay id belongs to that cohort stay; an event without one (lab
+    events carry only the admission id) belongs to the cohort stay of its
+    admission. It is kept when its item is in the registry, its time falls
+    inside the stay's 48 hour window and its value parses as a number.
+    Every row read lands in ``events_matched`` or in exactly one of the
+    ``events_*`` drop counters.
     """
     by_icustay = {s.icustay_id: s for s in cohort}
     by_hadm = {s.hadm_id: s for s in cohort}
@@ -427,48 +398,62 @@ def write_features(out_dir: str | Path, tensors: Sequence[FeatureTensor],
     return seq_path, static_path
 
 
+def _finite_floats(fields: Sequence[str]) -> list[float]:
+    values = [float(v) for v in fields]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return values
+
+
 def read_features(work_dir: str | Path
                   ) -> tuple[list[FeatureTensor], dict[int, str]]:
-    """Read feature CSVs back; returns (tensors, split by stay_id)."""
+    """Read feature CSVs back; returns (tensors, split by stay_id).
+
+    A row that cannot have been written by ``write_features`` (an hour
+    outside 0-47, a repeated stay or hour, a non-finite value, a label other
+    than 0/1, an unknown split) raises DataError naming the file and line,
+    as does a stay without all 48 hourly rows or without a static row.
+    """
     work_dir = Path(work_dir)
     seq_path = work_dir / "features_seq.csv"
     static_path = work_dir / "features_static.csv"
-    for path in (seq_path, static_path):
-        if not path.exists():
-            raise DataError(f"missing features file: expected {path}")
     seq_by_stay: dict[int, np.ndarray] = {}
-    with open(seq_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _SEQ_HEADER:
-            raise DataError(f"unexpected header in {seq_path}")
-        for row in reader:
+    try:
+        for line, row in read_artifact_rows(seq_path, _SEQ_HEADER):
             stay_id, hour = int(row[0]), int(row[1])
+            if not 0 <= hour < WINDOW_HOURS:
+                raise ValueError(f"hour {hour} is outside 0-{WINDOW_HOURS - 1}")
             seq = seq_by_stay.get(stay_id)
             if seq is None:
                 seq = seq_by_stay[stay_id] = np.full(
                     (WINDOW_HOURS, N_CHANNELS), np.nan
                 )
-            seq[hour] = [float(v) for v in row[2:]]
+            elif not math.isnan(seq[hour, 0]):
+                raise ValueError(f"repeated hour {hour} of stay {stay_id}")
+            seq[hour] = _finite_floats(row[2:])
+    except ValueError as exc:
+        raise DataError(f"{seq_path}:{line}: {exc}") from exc
     tensors: list[FeatureTensor] = []
     split_by_stay: dict[int, str] = {}
-    with open(static_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _STATIC_HEADER:
-            raise DataError(f"unexpected header in {static_path}")
-        for row in reader:
+    try:
+        for line, row in read_artifact_rows(static_path, _STATIC_HEADER):
             stay_id = int(row[0])
             seq = seq_by_stay.get(stay_id)
-            if seq is None or not np.all(np.isfinite(seq)):
-                raise DataError(f"incomplete hourly rows for stay {stay_id}")
+            if stay_id in split_by_stay:
+                raise ValueError(f"repeated stay {stay_id}")
+            if seq is None or np.isnan(seq).any():
+                raise ValueError(f"incomplete hourly rows for stay {stay_id}")
             tensors.append(
                 FeatureTensor(
                     stay_id=stay_id,
                     seq=seq,
-                    static=np.array([float(v) for v in row[1:8]]),
-                    label=int(row[8]),
+                    static=np.array(_finite_floats(row[1:8])),
+                    label=int(parse_bit(row[8])),
                 )
             )
-            split_by_stay[stay_id] = row[9]
+            split_by_stay[stay_id] = parse_split(row[9])
+    except ValueError as exc:
+        raise DataError(f"{static_path}:{line}: {exc}") from exc
+    if len(tensors) != len(seq_by_stay):
+        raise DataError(f"{seq_path} holds stays that {static_path} lacks")
     return tensors, split_by_stay

@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DataError, SchemaError
 
@@ -354,6 +354,33 @@ def load_table(source, schema: TableSchema, error_policy: str = "skip"
     """Eagerly parse a whole table (for the small dimension tables)."""
     it, stats = parse_table(source, schema, error_policy)
     return list(it), stats
+
+
+def read_artifact_rows(path: str | Path, header: Sequence[str]
+                       ) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each row of a CSV the pipeline wrote.
+
+    An unreadable or undecodable file, a header other than ``header`` and a
+    row without one field per column raise DataError naming the file and,
+    where it is known, the line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != list(header):
+                raise DataError(f"{path}:1: expected the header "
+                                f"{','.join(header)}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(header)} fields, found {len(row)}")
+                yield reader.line_num, row
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def table_path(data_dir: str | Path, table_name: str) -> Path:

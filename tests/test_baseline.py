@@ -14,34 +14,35 @@ from icumort.baseline import (
     train_lr,
 )
 from icumort.errors import ConfigError, DataError
-from icumort.featurize import FeatureTensor
 
 
-def tensor_with(last_row, static):
-    seq = np.zeros((48, 13))
-    seq[47] = last_row
-    return FeatureTensor(stay_id=1, seq=seq, static=np.asarray(static, float),
-                        label=0)
+def batch_with(last_rows, statics):
+    """(n, 48, 13) zero sequences with the given hour-47 rows, and statics."""
+    last_rows = np.asarray(last_rows, float)
+    seq = np.zeros((len(last_rows), 48, 13))
+    seq[:, 47] = last_rows
+    return seq, np.asarray(statics, float)
 
 
 class TestLastHourFeatures:
     def test_construction(self):
-        t = tensor_with(np.ones(13), np.zeros(7))
-        vec = last_hour_features(t)
-        assert vec.shape == (20,)
-        assert list(vec[:13]) == [1.0] * 13
-        assert list(vec[13:]) == [0.0] * 7
+        seq, static = batch_with([np.ones(13), np.full(13, 2.0)],
+                                 [np.zeros(7), np.full(7, 3.0)])
+        features = last_hour_features(seq, static)
+        assert features.shape == (2, 20)
+        assert list(features[0]) == [1.0] * 13 + [0.0] * 7
+        assert list(features[1]) == [2.0] * 13 + [3.0] * 7
 
     def test_earlier_hours_are_invisible(self):
-        a = tensor_with(np.arange(13.0), np.ones(7))
-        b = tensor_with(np.arange(13.0), np.ones(7))
-        b.seq[:47] = 99.0
-        assert np.array_equal(last_hour_features(a), last_hour_features(b))
+        a = batch_with([np.arange(13.0)], [np.ones(7)])
+        b = batch_with([np.arange(13.0)], [np.ones(7)])
+        b[0][:, :47] = 99.0
+        assert np.array_equal(last_hour_features(*a), last_hour_features(*b))
 
     def test_golden_read(self):
-        t = tensor_with(np.arange(13.0), [0.5, 1, 0, 0, 0, 1, 0])
+        seq, static = batch_with([np.arange(13.0)], [[0.5, 1, 0, 0, 0, 1, 0]])
         expected = list(np.arange(13.0)) + [0.5, 1, 0, 0, 0, 1, 0]
-        assert list(last_hour_features(t)) == expected
+        assert list(last_hour_features(seq, static)[0]) == expected
 
 
 class TestTrainLr:

@@ -1,6 +1,11 @@
+import argparse
 import csv
 import json
+import shutil
 
+import pytest
+
+from icumort import cli
 from icumort.cli import main
 
 _CLEAN = ["--celsius-rate", "0", "--error-text-rate", "0",
@@ -96,3 +101,205 @@ def test_evaluate_rejects_malformed_model_files(tmp_path, capsys):
         lstm.write_bytes(lstm_bytes)
         lr.write_text(lr_text)
     assert main(["evaluate", "--work", str(out)]) == 0
+
+
+# End-to-end promises of the CLI. Mortality 0.3 and a temporal signal keep
+# both classes in every split of this 60-patient cohort.
+_SEED = ["--seed", "7"]
+_SYNTH_RUN = ["--synth-patients", "60", "--mortality-rate", "0.3",
+              "--signal", "temporal_trend", "--effect-size", "2"]
+_RUN = [*_SEED, *_SYNTH_RUN, "--max-epochs", "1"]
+
+_ARTIFACTS = {
+    *(f"data/{name}.csv" for name in (
+        "ADMISSIONS", "CHARTEVENTS", "DIAGNOSES_ICD", "ICUSTAYS", "LABEVENTS",
+        "OUTPUTEVENTS", "PATIENTS", "SERVICES")),
+    "data/synth_manifest.json", "data/logs/synth_log.json",
+    "cohort.csv", "features_seq.csv", "features_static.csv",
+    "population_stats.json", "lstm_checkpoint.bin",
+    "lstm_checkpoint.manifest.txt", "training_history.csv",
+    "logreg_checkpoint.txt", "metrics_report.csv", "model_comparison.csv",
+    "roc_lstm_test.csv", "roc_logreg_test.csv",
+    *(f"logs/{stage}_log.json"
+      for stage in ("cohort", "featurize", "train", "evaluate")),
+}
+
+
+def _tree(root):
+    """Every file under root by relative path; stage logs without wall time."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        content = path.read_bytes()
+        if path.parent.name == "logs":
+            content = json.loads(content)
+            del content["wall_time_s"]
+        files[path.relative_to(root).as_posix()] = content
+    return files
+
+
+@pytest.fixture(scope="module")
+def reference_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference") / "run"
+    assert main(["run-all", "--out", str(out), *_RUN]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_run(reference_dir):
+    return _tree(reference_dir)
+
+
+def test_run_all_writes_every_documented_artifact(reference_run):
+    assert set(reference_run) == _ARTIFACTS
+    assert "warnings" not in reference_run["logs/evaluate_log.json"]
+    for name, log in reference_run.items():
+        if name.endswith("_log.json"):
+            base = name.rsplit("logs/", 1)[0]
+            for artifact in log["artifacts"]:
+                assert base + artifact in reference_run
+
+
+def test_run_all_equals_the_stages_run_one_by_one(reference_run, tmp_path):
+    work = tmp_path / "run"
+    data = work / "data"
+    steps = [
+        ["synth", "--out", str(data), *_SEED, *_SYNTH_RUN],
+        ["cohort", "--data", str(data), "--work", str(work), *_SEED],
+        ["featurize", "--data", str(data), "--work", str(work), *_SEED],
+        ["train", "--work", str(work), *_SEED, "--max-epochs", "1"],
+        ["evaluate", "--work", str(work), *_SEED],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    assert _tree(work) == reference_run
+
+
+def test_a_second_run_gives_identical_bytes(reference_run, tmp_path):
+    out = tmp_path / "run"
+    assert main(["run-all", "--out", str(out), *_RUN]) == 0
+    assert _tree(out) == reference_run
+
+
+def test_config_file_values_match_flags_and_flags_win(reference_run, tmp_path):
+    same = tmp_path / "same.cfg"
+    same.write_text(
+        "# the reference run's flags as key=value lines\n"
+        "seed = 7\nsynth-patients = 60\nmax_epochs = 1\n\n"
+        "mortality_rate=0.3\nsignal=temporal_trend\neffect_size=2\n"
+        "literal_means = false\n"
+    )
+    assert main(["run-all", "--out", str(tmp_path / "same"),
+                 "--config", str(same)]) == 0
+    assert _tree(tmp_path / "same") == reference_run
+
+    other = tmp_path / "other.cfg"
+    other.write_text("seed=8\nsynth_patients=70\nmax_epochs=2\n"
+                     "mortality_rate=0.2\nsignal=none\neffect_size=1\n")
+    assert main(["run-all", "--out", str(tmp_path / "other"),
+                 "--config", str(other), *_RUN]) == 0
+    assert _tree(tmp_path / "other") == reference_run
+
+
+_COMMON = {"seed": (int, None), "config": (str, None)}
+_SYNTH = {
+    "out": (str, None), "synth_patients": (int, None),
+    "mortality_rate": (float, 0.115), "readmission_rate": (float, 0.15),
+    "long_stay_frac": (float, 0.8), "age_min": (float, 14.0),
+    "age_max": (float, 97.0), "signal": (str, "none"),
+    "effect_size": (float, 1.0), "missing_scale": (float, 1.0),
+    "celsius_rate": (float, 0.25), "error_text_rate": (float, 0.05),
+    "duplicate_rate": (float, 0.05), "missing_span_rate": (float, 0.1),
+}
+_COHORT = {"data": (str, None), "work": (str, None),
+           "icd9_flags": (str, None), "surgical_services": (str, None)}
+_FEATURIZE = {"data": (str, None), "work": (str, None),
+              "registry": (str, None), "literal_means": ("flag", False),
+              "literal_urine_pick": ("flag", False),
+              "no_standardize": ("flag", False)}
+_TRAIN = {"work": (str, None), "hidden": (int, 64), "batch_size": (int, 32),
+          "max_epochs": (int, 10), "patience": (int, 3),
+          "learning_rate": (float, 0.001), "l2_lambda": (float, 1.0),
+          "monitor": (str, "loss")}
+_EVALUATE = {"work": (str, None), "threshold": (float, 0.5)}
+_OPTIONS = {
+    "synth": {**_COMMON, **_SYNTH},
+    "describe": {"data": (str, None), "out": (str, None),
+                 "config": (str, None)},
+    "cohort": {**_COMMON, **_COHORT},
+    "featurize": {**_COMMON, **_FEATURIZE},
+    "train": {**_COMMON, **_TRAIN},
+    "evaluate": {**_COMMON, **_EVALUATE},
+    "run-all": {**_COMMON, **_SYNTH, **_COHORT, **_FEATURIZE, **_TRAIN,
+                **_EVALUATE},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_each_command_keeps_its_flags_types_and_defaults(command,
+                                                         monkeypatch):
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(_OPTIONS)
+    kinds = {}
+    for action in commands.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+        kinds[action.dest] = ("flag" if isinstance(action,
+                                                   argparse._StoreTrueAction)
+                              else action.type)
+    seen = {}
+    monkeypatch.setitem(cli._STAGES, command, seen.update)
+    assert main([command]) == 0
+    assert {k: (kinds[k], seen[k]) for k in kinds} == _OPTIONS[command]
+    assert set(seen) == set(kinds)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("directory", "Is a directory"),
+    (b"\xff\xfes\x00e\x00e\x00d\x00=\x007\x00\n\x00", "not UTF-8 text"),
+    ("seed=seven\n", "line 1: bad value for seed"),
+    ("# comment\nliteral_means=maybe\n", "line 2: bad value for literal_means"),
+    ("seed=7\ncolour=red\n", "line 2: unknown key colour"),
+    ("seed 7\n", "line 1: expected key=value"),
+], ids=["missing", "directory", "utf-16", "bad-int", "bad-bool", "unknown-key",
+        "no-equals"])
+def test_bad_config_file_is_one_error_line(tmp_path, capsys, content,
+                                           message):
+    path = tmp_path / "run.cfg"
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    assert main(["featurize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: config {path}")
+    assert message in err[0]
+
+
+@pytest.mark.parametrize("name, column, stages", [
+    ("cohort.csv", "split", ["featurize"]),
+    ("features_seq.csv", "stay_id", ["train", "evaluate"]),
+    ("features_static.csv", "label", ["train", "evaluate"]),
+])
+def test_garbled_artifact_is_one_error_line(reference_dir, tmp_path, capsys,
+                                            name, column, stages):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    lines = (work / name).read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index(column)] = "bogus"
+    lines[1] = ",".join(cells)
+    (work / name).write_text("\n".join(lines) + "\n")
+    for stage in stages:
+        capsys.readouterr()
+        data = ["--data", str(work / "data")] if stage == "featurize" else []
+        assert main([stage, *data, "--work", str(work), *_SEED]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {work / name}:2: ")

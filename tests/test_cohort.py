@@ -1,9 +1,12 @@
+import re
 from datetime import datetime, timedelta
 
 import pytest
 
 from icumort.cohort import (
     MEDICAL,
+    CohortStay,
+    SplitAssignment,
     SCHEDULED_SURGICAL,
     UNSCHEDULED_SURGICAL,
     admission_category,
@@ -16,7 +19,9 @@ from icumort.cohort import (
     label_disagrees,
     label_mortality,
     load_icd9_flags,
+    read_cohort_csv,
     split_dataset,
+    write_cohort_csv,
 )
 from icumort.errors import ConfigError, DataError
 from icumort.tables import AdmissionRow, PatientRow, StayRow
@@ -219,3 +224,72 @@ def test_build_cohort_missing_admission_names_hadm():
     patients = [PatientRow(1, T0 - timedelta(days=40 * 365))]
     with pytest.raises(DataError, match="77"):
         build_cohort(stays, patients, [], [], [])
+
+
+def _cohort_lines(tmp_path):
+    stays = [
+        CohortStay(icustay_id=100 + i, subject_id=i, hadm_id=10 * i,
+                   intime=T0, outtime=None, age_years=60.5,
+                   admission_category=MEDICAL, aids=False,
+                   hematologic_malignancy=False, metastatic_cancer=bool(i),
+                   label_mortality=bool(i))
+        for i in (1, 2)
+    ]
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(path, stays, SplitAssignment({1: "train", 2: "test"}, 0))
+    back, splits = read_cohort_csv(path)
+    assert back == stays and splits == {1: "train", 2: "test"}
+    return path, path.read_text().splitlines()
+
+
+def _set_field(line_no, column, value):
+    def garble(lines):
+        cells = lines[line_no - 1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[line_no - 1] = ",".join(cells)
+    return garble
+
+
+def _drop_column(column):
+    def garble(lines):
+        i = lines[0].split(",").index(column)
+        lines[:] = [",".join(c for k, c in enumerate(line.split(",")) if k != i)
+                    for line in lines]
+    return garble
+
+
+def _truncate_row(line_no):
+    def garble(lines):
+        lines[line_no - 1] = lines[line_no - 1].rsplit(",", 1)[0]
+    return garble
+
+
+@pytest.mark.parametrize("garble, line", [
+    (_set_field(2, "icustay_id", "101a"), 2),
+    (_set_field(3, "subject_id", "2.5"), 3),
+    (_set_field(2, "age_years", "old"), 2),
+    (_set_field(3, "hadm_id", ""), 3),
+    (_set_field(2, "intime", "2101-13-01 00:00:00"), 2),
+    (_set_field(3, "split", "bogus"), 3),
+    (_set_field(2, "label", "2"), 2),
+    (_set_field(2, "aids", "yes"), 2),
+    (_set_field(3, "admission_category", "Unknown"), 3),
+    (_truncate_row(3), 3),
+    (_drop_column("split"), 1),
+    (_drop_column("label"), 1),
+])
+def test_garbled_cohort_file_names_file_and_line(tmp_path, garble, line):
+    path, lines = _cohort_lines(tmp_path)
+    garble(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: "):
+        read_cohort_csv(path)
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfeicustay_id\n"])
+def test_unreadable_cohort_file_is_a_data_error(tmp_path, content):
+    path = tmp_path / "cohort.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        read_cohort_csv(path)

@@ -1,10 +1,12 @@
+import csv
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from icumort.cohort import CohortStay, MEDICAL
-from icumort.errors import ConfigError
+from icumort.errors import ConfigError, DataError
 from icumort.featurize import (
     FeatureTensor,
     PopulationStats,
@@ -12,7 +14,7 @@ from icumort.featurize import (
     assemble_hourly,
     bin_hourly,
     bin_hourly_sum,
-    build_tensor,
+    collect_stay_events,
     compute_population_stats,
     finish_tensor,
     impute,
@@ -22,7 +24,6 @@ from icumort.featurize import (
     write_features,
 )
 from icumort.items import N_CHANNELS, load_registry
-from icumort.tables import RawEvent
 
 T0 = datetime(2101, 1, 1)
 
@@ -180,17 +181,42 @@ class TestStandardize:
         assert np.all(np.isfinite(out.seq))
 
 
-def _event(item_id, minute, value, stay_id=100, text=None):
-    return RawEvent(
-        subject_id=1,
-        hadm_id=10,
-        icustay_id=stay_id,
-        item_id=item_id,
-        charttime=T0 + timedelta(minutes=minute),
-        value_num=value,
-        value_text=text,
-        unit=None,
-    )
+_EVENT_HEADER = ["SUBJECT_ID", "HADM_ID", "ICUSTAY_ID", "ITEMID", "CHARTTIME",
+                 "VALUE", "VALUENUM"]
+
+
+def _field(value):
+    return "" if value is None else value
+
+
+def _event(item_id, minute, value, stay_id=100, text=None, hadm_id=10):
+    """One event-table row; a None id or value leaves its field blank."""
+    charttime = (T0 + timedelta(minutes=minute)).strftime("%Y-%m-%d %H:%M:%S")
+    return [1, _field(hadm_id), _field(stay_id), item_id, charttime,
+            _field(value) if text is None else text, _field(value)]
+
+
+def write_events(data_dir, registry, events):
+    """Write rows to the event table the registry names for their item."""
+    data_dir.mkdir(parents=True, exist_ok=True)
+    by_table = {"chartevents": [], "labevents": [], "outputevents": []}
+    for row in events:
+        by_table[registry.item_table.get(row[3], "chartevents")].append(row)
+    for table, rows in by_table.items():
+        with open(data_dir / f"{table.upper()}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_EVENT_HEADER)
+            writer.writerows(rows)
+
+
+def build_from_csv(data_dir, stay, events, registry, stats, global_seed,
+                   standardize=True):
+    """One stay's tensor by the pipeline's path from event CSVs."""
+    write_events(data_dir, registry, events)
+    bucketed, _ = collect_stay_events(data_dir, [stay], registry)
+    series = assemble_hourly(stay.icustay_id, bucketed[stay.icustay_id],
+                             global_seed)
+    return finish_tensor(stay, series, stats, standardize)
 
 
 @pytest.fixture(scope="module")
@@ -199,15 +225,16 @@ def registry():
 
 
 class TestBuildTensor:
-    def test_zero_events_gives_population_mean_matrix(self, registry):
+    def test_zero_events_gives_population_mean_matrix(self, registry,
+                                                      tmp_path):
         stats = flat_stats(mean=5.0, sd=1.0)
-        tensor = build_tensor(make_stay(), [], registry, stats, global_seed=1,
-                              standardize=False)
+        tensor = build_from_csv(tmp_path, make_stay(), [], registry, stats,
+                                global_seed=1, standardize=False)
         assert np.all(tensor.seq == 5.0)
         assert tensor.static[0] == 50.0
         assert tensor.static[1:4].sum() == 1.0
 
-    def test_golden_hand_traced_matrix(self, registry):
+    def test_golden_hand_traced_matrix(self, registry, tmp_path):
         # Hand-placed events across five channels; everything else stays at
         # the population mean. Expected columns are written out literally.
         events = [
@@ -222,8 +249,8 @@ class TestBuildTensor:
             _event(51006, 40 * 60, 30.0),
         ]
         stats = flat_stats(mean=0.0, sd=1.0)
-        tensor = build_tensor(make_stay(), events, registry, stats,
-                              global_seed=1, standardize=False)
+        tensor = build_from_csv(tmp_path, make_stay(), events, registry,
+                                stats, global_seed=1, standardize=False)
         assert list(tensor.seq[:, 2]) == [80.0] * 48
         assert list(tensor.seq[:, 3]) == [98.6] * 48
         assert list(tensor.seq[:, 0]) == [15.0] * 48
@@ -232,40 +259,77 @@ class TestBuildTensor:
         for idle in (1, 4, 5, 8, 9, 10, 11, 12):
             assert list(tensor.seq[:, idle]) == [0.0] * 48
 
-    def test_label_passthrough(self, registry):
-        tensor = build_tensor(make_stay(label=True), [], registry,
-                              flat_stats(), global_seed=1)
+    def test_label_passthrough(self, registry, tmp_path):
+        tensor = build_from_csv(tmp_path, make_stay(label=True), [], registry,
+                                flat_stats(), global_seed=1)
         assert tensor.label == 1
 
-    def test_irrigant_inflow_subtracted(self, registry):
+    def test_irrigant_inflow_subtracted(self, registry, tmp_path):
         events = [
             _event(227489, 60, 200.0),  # irrigant/urine out
             _event(227488, 61, 80.0),   # irrigant in
         ]
-        tensor = build_tensor(make_stay(), events, registry, flat_stats(),
-                              global_seed=1, standardize=False)
+        tensor = build_from_csv(tmp_path, make_stay(), events, registry,
+                                flat_stats(), global_seed=1,
+                                standardize=False)
         assert tensor.seq[1, 6] == 120.0
 
-    def test_window_and_stay_filtering(self, registry):
+    def test_window_and_stay_filtering(self, registry, tmp_path):
         events = [
             _event(211, 48 * 60, 99.0),           # at window end: ignored
             _event(211, 60, 80.0, stay_id=999),   # other stay: ignored
         ]
-        tensor = build_tensor(make_stay(), events, registry,
-                              flat_stats(mean=1.0), global_seed=1,
-                              standardize=False)
+        tensor = build_from_csv(tmp_path, make_stay(), events, registry,
+                                flat_stats(mean=1.0), global_seed=1,
+                                standardize=False)
         assert np.all(tensor.seq[:, 2] == 1.0)
 
-    def test_deterministic_across_runs(self, registry):
+    def test_deterministic_across_runs(self, registry, tmp_path):
         events = [
             _event(211, 5 * 60 + 1, 70.0),
             _event(211, 5 * 60 + 2, 90.0),
         ]
-        a = build_tensor(make_stay(), events, registry, flat_stats(),
-                         global_seed=42)
-        b = build_tensor(make_stay(), list(reversed(events)), registry,
-                         flat_stats(), global_seed=42)
+        a = build_from_csv(tmp_path / "a", make_stay(), events, registry,
+                           flat_stats(), global_seed=42)
+        b = build_from_csv(tmp_path / "b", make_stay(), list(reversed(events)),
+                           registry, flat_stats(), global_seed=42)
         assert np.array_equal(a.seq, b.seq)
+
+
+_BAD_TIME = _event(211, 60, 80.0)
+_BAD_TIME[4] = "not a time"
+
+
+@pytest.mark.parametrize("row, counter, bucket", [
+    (_event(211, 60, 80.0), "events_matched", (2, [(60, 80.0, "plain")])),
+    # Lab rows carry no stay id: the admission id names the stay.
+    (_event(51006, 600, 20.0, stay_id=None), "events_matched",
+     (7, [(600, 20.0, "plain")])),
+    (_event(999999, 60, 1.0), "events_unlisted_item", None),
+    (_event(211, 60, 80.0, stay_id=999), "events_outside_cohort", None),
+    (_event(51006, 600, 20.0, stay_id=None, hadm_id=77),
+     "events_outside_cohort", None),
+    (_event(211, 60, 80.0, stay_id=None, hadm_id=None),
+     "events_outside_cohort", None),
+    (_event(211, -1, 80.0), "events_outside_window", None),
+    (_event(211, 48 * 60, 80.0), "events_outside_window", None),
+    (_event(211, 60, None, text="ERROR"), "events_unparseable_value", None),
+    (_BAD_TIME, "events_malformed", None),
+])
+def test_collect_counts_each_row_once(registry, tmp_path, row, counter,
+                                      bucket):
+    other = make_stay(stay_id=200)
+    other.subject_id, other.hadm_id = 2, 20
+    write_events(tmp_path, registry, [row])
+    events, counts = collect_stay_events(tmp_path, [make_stay(), other],
+                                         registry)
+    assert counts == {name: int(name in ("events_read", counter))
+                      for name in counts}
+    assert len(counts) == 7
+    expected = [[] for _ in range(N_CHANNELS)]
+    if bucket is not None:
+        expected[bucket[0]] = bucket[1]
+    assert events == {100: expected, 200: [[] for _ in range(N_CHANNELS)]}
 
 
 def test_assemble_hourly_gcs_partial_components():
@@ -301,3 +365,89 @@ def test_feature_csv_round_trip(tmp_path):
         assert loaded.label == orig.label
         assert np.allclose(loaded.seq, orig.seq, atol=1e-7)
         assert np.allclose(loaded.static, orig.static, atol=1e-7)
+
+
+def _feature_files(tmp_path):
+    stats = flat_stats(mean=2.0, sd=1.0)
+    tensors = [
+        finish_tensor(make_stay(stay_id=sid, label=sid == 102),
+                      [[float(sid)] + [None] * 47] * 13, stats,
+                      standardize=False)
+        for sid in (101, 102)
+    ]
+    write_features(tmp_path, tensors, {101: "train", 102: "val"})
+    return {name: (tmp_path / f"features_{name}.csv").read_text().splitlines()
+            for name in ("seq", "static")}
+
+
+def _set_cell(line_no, column, value):
+    def garble(lines):
+        cells = lines[line_no - 1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[line_no - 1] = ",".join(cells)
+    return garble
+
+
+def _repeat_row(line_no):
+    return lambda lines: lines.insert(line_no, lines[line_no - 1])
+
+
+def _delete_row(line_no):
+    return lambda lines: lines.pop(line_no - 1)
+
+
+def _truncate(line_no):
+    def garble(lines):
+        lines[line_no - 1] = lines[line_no - 1].rsplit(",", 1)[0]
+    return garble
+
+
+# Line 2 of features_seq.csv is hour 0 of stay 101, line 50 hour 0 of stay
+# 102; line 2 of features_static.csv is stay 101, line 3 stay 102.
+@pytest.mark.parametrize("name, garble, where", [
+    ("seq", _set_cell(2, "stay_id", "x101"), "seq.csv:2"),
+    ("seq", _set_cell(7, "hour", "5.0"), "seq.csv:7"),
+    ("seq", _set_cell(3, "c4", "high"), "seq.csv:3"),
+    ("seq", _set_cell(50, "c0", ""), "seq.csv:50"),
+    ("seq", _set_cell(9, "c12", "nan"), "seq.csv:9"),
+    ("seq", _set_cell(2, "hour", "99"), "seq.csv:2"),
+    ("seq", _set_cell(2, "hour", "-1"), "seq.csv:2"),
+    ("seq", _set_cell(3, "hour", "0"), "seq.csv:3"),
+    ("seq", _repeat_row(20), "seq.csv:21"),
+    ("seq", _truncate(4), "seq.csv:4"),
+    ("seq", _delete_row(30), "static.csv:2"),
+    ("seq", lambda lines: lines.__setitem__(0, "stay,hour"), "seq.csv:1"),
+    ("static", _set_cell(3, "stay_id", "102x"), "static.csv:3"),
+    ("static", _set_cell(2, "age_s", "old"), "static.csv:2"),
+    ("static", _set_cell(2, "met", ""), "static.csv:2"),
+    ("static", _set_cell(3, "label", "2"), "static.csv:3"),
+    ("static", _set_cell(2, "split", "bogus"), "static.csv:2"),
+    ("static", _truncate(3), "static.csv:3"),
+    ("static", _repeat_row(2), "static.csv:3"),
+    ("static", _set_cell(3, "stay_id", "103"), "static.csv:3"),
+])
+def test_garbled_feature_files_name_file_and_line(tmp_path, name, garble,
+                                                   where):
+    lines = _feature_files(tmp_path)[name]
+    garble(lines)
+    (tmp_path / f"features_{name}.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"features_{where}: ")):
+        read_features(tmp_path)
+
+
+def test_feature_stays_without_a_static_row_are_rejected(tmp_path):
+    lines = _feature_files(tmp_path)["static"]
+    (tmp_path / "features_static.csv").write_text("\n".join(lines[:2]) + "\n")
+    with pytest.raises(DataError, match="features_seq.csv holds stays"):
+        read_features(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["seq", "static"])
+def test_unreadable_feature_file_is_a_data_error(tmp_path, name):
+    _feature_files(tmp_path)
+    (tmp_path / f"features_{name}.csv").write_bytes(b"\xff\xfestay_id\n")
+    with pytest.raises(DataError, match=f"features_{name}.csv"):
+        read_features(tmp_path)
+    (tmp_path / f"features_{name}.csv").unlink()
+    with pytest.raises(DataError, match=f"features_{name}.csv"):
+        read_features(tmp_path)
