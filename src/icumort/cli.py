@@ -82,7 +82,12 @@ def stage_synth(args: dict) -> None:
         injections = synth.inject_anomalies(out_dir, config)
         counts = {**counts,
                   **{f"injected_{k}": len(v) for k, v in injections.items()}}
-    artifacts = sorted(p.name for p in out_dir.glob("*.csv"))
+    artifacts = sorted(f"{name}.csv" for name in synth.TABLES)
+    for name in artifacts:  # no generated field holds a line break
+        with open(out_dir / name, "rb") as fh:
+            lines = sum(block.count(b"\n")
+                        for block in iter(lambda: fh.read(1 << 20), b""))
+        counts[f"{name[:-4].lower()}_rows"] = lines - 1
     artifacts.append(synth.MANIFEST_NAME)
     _write_stage_log(out_dir, "synth", args["seed"], counts, artifacts, started)
     print(f"synth: wrote {counts['events']} events for "
@@ -200,6 +205,9 @@ def stage_train(args: dict) -> None:
     _require(args, "work", "seed")
     started = time.monotonic()
     work_dir = Path(args["work"])
+    config = _config_from_args(training.TrainConfig, args,
+                               seed=derive_seed(args["seed"], "train-stage"))
+    config.validate()
     tensors, split_by_stay = featurize.read_features(work_dir)
     train_data = _split_arrays(tensors, split_by_stay, "train")
     val_data = _split_arrays(tensors, split_by_stay, "val")
@@ -207,8 +215,6 @@ def stage_train(args: dict) -> None:
     lr_model = baseline.train_lr(baseline.last_hour_features(*train_data[:2]),
                                  train_data[2], lam=args["l2_lambda"])
 
-    config = _config_from_args(training.TrainConfig, args,
-                               seed=derive_seed(args["seed"], "train-stage"))
     model, history = training.train(train_data, val_data, config)
     nn.save_checkpoint(model, work_dir / "lstm_checkpoint.bin")
     _write_model_manifest(work_dir, args, config)

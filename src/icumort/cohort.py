@@ -22,6 +22,7 @@ from .seeding import SplitMix64
 from .tables import (
     TS_FORMAT,
     AdmissionRow,
+    CsvInput,
     DiagnosisRow,
     PatientRow,
     ServiceRow,
@@ -139,18 +140,28 @@ def default_icd9_flags_path() -> Path:
 
 
 def load_icd9_flags(path: str | Path | None = None) -> dict[str, tuple[float, float]]:
-    """Load comorbidity flag definitions as inclusive code ranges."""
+    """Load comorbidity flag definitions as inclusive code ranges.
+
+    An unreadable file and a row without a flag and two numeric bounds
+    (columns ``flag,code_lo,code_hi``) are configuration errors."""
     path = Path(path) if path is not None else default_icd9_flags_path()
     ranges: dict[str, tuple[float, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            flag = row["flag"].strip()
-            lo = float(row["code_lo"])
-            hi = float(row["code_hi"])
-            if hi < lo:
-                raise ConfigError(f"icd9 flags {path}: empty range for {flag}")
-            ranges[flag] = (lo, hi)
+    csv_input = CsvInput(path, ConfigError)
+    rows = iter(csv_input)
+    header = next(rows, [])
+    for row in rows:
+        if not row:
+            continue
+        record = dict(zip(header, row))
+        try:
+            flag = record["flag"].strip()
+            lo, hi = float(record["code_lo"]), float(record["code_hi"])
+        except (KeyError, ValueError):
+            raise ConfigError(f"icd9 flags {path} line {csv_input.line_num}: "
+                              "expected a flag and two numeric bounds") from None
+        if hi < lo:
+            raise ConfigError(f"icd9 flags {path}: empty range for {flag}")
+        ranges[flag] = (lo, hi)
     for flag in ("aids", "hem_malig", "metastatic"):
         if flag not in ranges:
             raise ConfigError(f"icd9 flags {path}: missing flag {flag}")

@@ -9,13 +9,13 @@ source_table column is informational.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .tables import CsvInput
 
 SUBROLES = (
     "plain",
@@ -83,34 +83,42 @@ def default_registry_path() -> Path:
 def load_registry(path: str | Path | None = None) -> ItemRegistry:
     """Load the item registry from CSV (``item_id,channel,subrole,source_table``).
 
-    Lines starting with ``#`` are comments. Duplicate item ids, unknown
-    channels, and unknown subroles are configuration errors.
+    Lines starting with ``#`` are comments. An unreadable file, a row with
+    fewer than four fields or a non-integer item id, duplicate item ids,
+    unknown channels, and unknown subroles are configuration errors naming
+    the file and, for a row, its line.
     """
     path = Path(path) if path is not None else default_registry_path()
     entries: dict[int, tuple[FeatureChannel, str]] = {}
     item_table: dict[int, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.lstrip().startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "item_id", "channel", "subrole", "source_table",
-        ]:
-            raise ConfigError(f"registry {path}: bad header")
-        for row in reader:
-            if not row or not any(field.strip() for field in row):
-                continue
+    csv_input = CsvInput(path, ConfigError)
+    rows = (row for row in csv_input if any(f.strip() for f in row)
+            and not row[0].lstrip().startswith("#"))
+    header = next(rows, None)
+    if header is None or [h.strip().lower() for h in header] != [
+        "item_id", "channel", "subrole", "source_table",
+    ]:
+        rows.close()
+        raise ConfigError(f"registry {path}: bad header")
+    for row in rows:
+        where = f"registry {path} line {csv_input.line_num}"
+        if len(row) < 4:
+            raise ConfigError(f"{where}: expected 4 fields, found {len(row)}")
+        try:
             item_id = int(row[0])
-            channel_name, subrole, table = (f.strip() for f in row[1:4])
-            if channel_name not in CHANNEL_BY_NAME:
-                raise ConfigError(f"registry {path}: unknown channel {channel_name!r}")
-            if subrole not in SUBROLES:
-                raise ConfigError(f"registry {path}: unknown subrole {subrole!r}")
-            if table not in SOURCE_TABLES:
-                raise ConfigError(f"registry {path}: unknown table {table!r}")
-            if item_id in entries:
-                raise ConfigError(f"registry {path}: duplicate item id {item_id}")
-            entries[item_id] = (CHANNEL_BY_NAME[channel_name], subrole)
-            item_table[item_id] = table
+        except ValueError:
+            raise ConfigError(f"{where}: bad item id {row[0]!r}") from None
+        channel_name, subrole, table = (f.strip() for f in row[1:4])
+        if channel_name not in CHANNEL_BY_NAME:
+            raise ConfigError(f"{where}: unknown channel {channel_name!r}")
+        if subrole not in SUBROLES:
+            raise ConfigError(f"{where}: unknown subrole {subrole!r}")
+        if table not in SOURCE_TABLES:
+            raise ConfigError(f"{where}: unknown table {table!r}")
+        if item_id in entries:
+            raise ConfigError(f"{where}: duplicate item id {item_id}")
+        entries[item_id] = (CHANNEL_BY_NAME[channel_name], subrole)
+        item_table[item_id] = table
     if not entries:
         raise ConfigError(f"registry {path}: no entries")
     return ItemRegistry(entries, item_table)

@@ -13,6 +13,14 @@ three label-signal modes:
     sequence can separate the classes; one that reads only the last hour
     cannot.
 
+Event rows are emitted one stay at a time, patient by patient and stay by
+stay. Within a stay the order is: the channels of ``_CHANNEL_ITEMS`` but
+urine output, in that order and each hour by hour; the coma-score parts
+(verbal, motor, eyes) hour by hour; urine output hour by hour, an irrigant
+out/in pair right after its hour's volume; then the optional pre-admission
+lab. Each row goes to the table the item registry names for its item, and
+every table numbers its ROW_IDs 1, 2, ... in that emission order.
+
 ``inject_anomalies`` then dirties the files the way real exports are dirty
 (Celsius temperature rows, "ERROR" value texts, duplicated same-hour
 measurements, missing spans) and records a manifest so tests can verify the
@@ -27,9 +35,9 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,28 +66,46 @@ from .tables import (
 BASE_INTIME = datetime(2101, 1, 1)
 MANIFEST_NAME = "synth_manifest.json"
 
-TABLE_COLUMNS = {
-    "PATIENTS": ["ROW_ID", "SUBJECT_ID", "GENDER", "DOB", "DOD", "DOD_HOSP",
-                 "DOD_SSN", "EXPIRE_FLAG"],
-    "ADMISSIONS": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "ADMITTIME", "DISCHTIME",
-                   "DEATHTIME", "ADMISSION_TYPE", "ADMISSION_LOCATION",
-                   "DISCHARGE_LOCATION", "INSURANCE", "LANGUAGE", "RELIGION",
-                   "MARITAL_STATUS", "ETHNICITY", "EDREGTIME", "EDOUTTIME",
-                   "DIAGNOSIS", "HOSPITAL_EXPIRE_FLAG", "HAS_CHARTEVENTS_DATA"],
-    "ICUSTAYS": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "ICUSTAY_ID", "DBSOURCE",
-                 "FIRST_CAREUNIT", "LAST_CAREUNIT", "FIRST_WARDID",
-                 "LAST_WARDID", "INTIME", "OUTTIME", "LOS"],
-    "CHARTEVENTS": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "ICUSTAY_ID", "ITEMID",
-                    "CHARTTIME", "STORETIME", "CGID", "VALUE", "VALUENUM",
-                    "VALUEUOM", "WARNING", "ERROR", "RESULTSTATUS", "STOPPED"],
-    "LABEVENTS": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "ITEMID", "CHARTTIME",
-                  "VALUE", "VALUENUM", "VALUEUOM", "FLAG"],
-    "OUTPUTEVENTS": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "ICUSTAY_ID",
-                     "CHARTTIME", "ITEMID", "VALUE", "VALUEUOM", "STORETIME",
-                     "CGID", "STOPPED", "NEWBOTTLE", "ISERROR"],
-    "DIAGNOSES_ICD": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "SEQ_NUM", "ICD9_CODE"],
-    "SERVICES": ["ROW_ID", "SUBJECT_ID", "HADM_ID", "TRANSFERTIME",
-                 "PREV_SERVICE", "CURR_SERVICE"],
+# Each table's columns in file order, each with the row template field that
+# fills it or its fixed text. {0} is the ROW_ID; event rows fill {1} subject,
+# {2} admission, {3} stay, {4} item, {5} CHARTTIME, {6} value and {7} unit.
+TABLES = {
+    "PATIENTS": {"ROW_ID": "{0}", "SUBJECT_ID": "{1}", "GENDER": "{2}",
+                 "DOB": "{3}", "DOD": "", "DOD_HOSP": "{4}", "DOD_SSN": "",
+                 "EXPIRE_FLAG": "{5}"},
+    "ADMISSIONS": {
+        "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+        "ADMITTIME": "{3}", "DISCHTIME": "{4}", "DEATHTIME": "{5}",
+        "ADMISSION_TYPE": "{6}", "ADMISSION_LOCATION": "",
+        "DISCHARGE_LOCATION": "", "INSURANCE": "Medicare", "LANGUAGE": "",
+        "RELIGION": "", "MARITAL_STATUS": "", "ETHNICITY": "UNKNOWN",
+        "EDREGTIME": "", "EDOUTTIME": "", "DIAGNOSIS": "",
+        "HOSPITAL_EXPIRE_FLAG": "{7}", "HAS_CHARTEVENTS_DATA": "1"},
+    "ICUSTAYS": {
+        "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+        "ICUSTAY_ID": "{3}", "DBSOURCE": "synthetic", "FIRST_CAREUNIT": "MICU",
+        "LAST_CAREUNIT": "MICU", "FIRST_WARDID": "", "LAST_WARDID": "",
+        "INTIME": "{4}", "OUTTIME": "{5}", "LOS": "{6}"},
+    "CHARTEVENTS": {
+        "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+        "ICUSTAY_ID": "{3}", "ITEMID": "{4}", "CHARTTIME": "{5}",
+        "STORETIME": "", "CGID": "", "VALUE": "{6}", "VALUENUM": "{6}",
+        "VALUEUOM": "{7}", "WARNING": "", "ERROR": "", "RESULTSTATUS": "",
+        "STOPPED": ""},
+    "LABEVENTS": {
+        "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+        "ITEMID": "{4}", "CHARTTIME": "{5}", "VALUE": "{6}", "VALUENUM": "{6}",
+        "VALUEUOM": "{7}", "FLAG": ""},
+    "OUTPUTEVENTS": {
+        "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+        "ICUSTAY_ID": "{3}", "CHARTTIME": "{5}", "ITEMID": "{4}",
+        "VALUE": "{6}", "VALUEUOM": "ml", "STORETIME": "", "CGID": "",
+        "STOPPED": "", "NEWBOTTLE": "", "ISERROR": ""},
+    "DIAGNOSES_ICD": {"ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+                      "SEQ_NUM": "{3}", "ICD9_CODE": "{4}"},
+    "SERVICES": {"ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
+                 "TRANSFERTIME": "{3}", "PREV_SERVICE": "",
+                 "CURR_SERVICE": "{4}"},
 }
 
 
@@ -115,6 +141,9 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_patients < 5:
             raise ConfigError("n_patients must be at least 5")
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         rates = {
             "mortality_rate": self.mortality_rate,
             "readmission_rate": self.readmission_rate,
@@ -170,11 +199,17 @@ _CHANNEL_ITEMS = {
     "Potassium": (50822, 50971),
     "Bilirubin": (50885,),
 }
-_GCS_ITEMS = {
-    "gcs_verbal": (723, 223900),
-    "gcs_motor": (454, 223901),
-    "gcs_eyes": (184, 220739),
-}
+# Coma score item ids: verbal, motor and eyes components.
+_GCS_ITEMS = ((723, 223900), (454, 223901), (184, 220739))
+# The numeric channels in emission order, their item ids one row per channel
+# (padded with 0, which no pick reaches) and their value formats.
+_NUMERIC_CHANNELS = [c for c in _CHANNEL_ITEMS if c != "UrineOutput"]
+_NUMERIC_ITEMS = np.array([
+    _CHANNEL_ITEMS[c] + (0,) * (6 - len(_CHANNEL_ITEMS[c]))  # SBP has 6
+    for c in _NUMERIC_CHANNELS
+])
+_NUMERIC_FORMATS = np.array([f"{{:.{_VALUE_MODEL[c][3]}f}}"
+                             for c in _NUMERIC_CHANNELS])
 
 _MEDICAL_SERVICES = ("MED", "CMED", "OMED", "NMED", "GU")
 _SURGICAL_SERVICES = ("CSURG", "NSURG", "TSURG", "SURG", "ORTHO", "VSURG")
@@ -189,19 +224,28 @@ def _fmt_ts(ts: datetime) -> str:
 
 
 class _TableWriter:
-    def __init__(self, directory: Path, name: str):
-        self.columns = TABLE_COLUMNS[name]
-        self._fh = open(directory / f"{name}.csv", "w", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(self.columns)
-        self.row_id = 0
+    """One table file: its header, its row template and its ROW_ID count."""
 
-    def write(self, **fields) -> int:
-        self.row_id += 1
-        row = [fields.get(c, "") for c in self.columns]
-        row[0] = self.row_id
-        self._writer.writerow(row)
-        return self.row_id
+    def __init__(self, directory: Path, name: str):
+        columns = TABLES[name]
+        self._fh = open(directory / f"{name}.csv", "w", newline="")
+        self._fh.write(",".join(columns) + "\n")
+        self._template = ",".join(columns.values()) + "\n"
+        self.rows = 0
+
+    def write(self, shared: tuple, rows: Sequence[tuple] = ((),)) -> None:
+        """Append one line per row, numbering the ROW_IDs (field {0}).
+
+        Fields {1} on are the ``shared`` values, the same on every row, then
+        the row's own values; by default one row with none. Shared values go
+        into the template once per call (none holds a brace), so each line
+        formats only its own fields. No generated value needs CSV quoting."""
+        own = [f"{{{i}}}" for i in range(1, len(rows[0]) + 1)]
+        fmt = self._template.format("{0}", *shared, *own).format
+        lines = [fmt(row_id, *row)
+                 for row_id, row in enumerate(rows, self.rows + 1)]
+        self.rows += len(lines)
+        self._fh.write("".join(lines))
 
     def close(self) -> None:
         self._fh.close()
@@ -336,7 +380,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> dict:
     registry = load_registry()
     profiles = sample_patients(config)
 
-    writers = {name: _TableWriter(out_dir, name) for name in TABLE_COLUMNS}
+    writers = {name: _TableWriter(out_dir, name) for name in TABLES}
     counts = {"patients": 0, "stays": 0, "events": 0}
     try:
         for profile in profiles:
@@ -349,55 +393,28 @@ def generate(config: SynthConfig, out_dir: str | Path) -> dict:
                 minutes=int(rng.integers(60, 12 * 60))
             )
             disch = last_out + timedelta(minutes=int(rng.integers(12 * 60, 240 * 60)))
-            death = disch if profile.label else None
+            death = _fmt_ts(disch) if profile.label else ""
             flag = int(profile.label)
             if profile.flag_inconsistent:
                 flag = 1 - flag
-            writers["PATIENTS"].write(
-                SUBJECT_ID=profile.subject_id,
-                GENDER="F" if rng.random() < 0.5 else "M",
-                DOB=_fmt_ts(profile.dob),
-                DOD_HOSP=_fmt_ts(death) if death else "",
-                EXPIRE_FLAG=int(profile.label),
-            )
-            writers["ADMISSIONS"].write(
-                SUBJECT_ID=profile.subject_id,
-                HADM_ID=profile.hadm_id,
-                ADMITTIME=_fmt_ts(admit),
-                DISCHTIME=_fmt_ts(disch),
-                DEATHTIME=_fmt_ts(death) if death else "",
-                ADMISSION_TYPE=profile.admission_type,
-                INSURANCE="Medicare",
-                ETHNICITY="UNKNOWN",
-                HOSPITAL_EXPIRE_FLAG=flag,
-                HAS_CHARTEVENTS_DATA=1,
-            )
-            writers["SERVICES"].write(
-                SUBJECT_ID=profile.subject_id,
-                HADM_ID=profile.hadm_id,
-                TRANSFERTIME=_fmt_ts(admit),
-                CURR_SERVICE=profile.service,
-            )
-            for seq_num, code in enumerate(profile.icd9_codes, start=1):
-                writers["DIAGNOSES_ICD"].write(
-                    SUBJECT_ID=profile.subject_id,
-                    HADM_ID=profile.hadm_id,
-                    SEQ_NUM=seq_num,
-                    ICD9_CODE=code,
-                )
+            ids = (profile.subject_id, profile.hadm_id)
+            writers["PATIENTS"].write((
+                profile.subject_id, "F" if rng.random() < 0.5 else "M",
+                _fmt_ts(profile.dob), death, int(profile.label),
+            ))
+            writers["ADMISSIONS"].write((
+                *ids, _fmt_ts(admit), _fmt_ts(disch), death,
+                profile.admission_type, flag,
+            ))
+            writers["SERVICES"].write((*ids, _fmt_ts(admit), profile.service))
+            writers["DIAGNOSES_ICD"].write(
+                ids, list(enumerate(profile.icd9_codes, start=1)))
             for stay in profile.stays:
                 counts["stays"] += 1
-                writers["ICUSTAYS"].write(
-                    SUBJECT_ID=profile.subject_id,
-                    HADM_ID=profile.hadm_id,
-                    ICUSTAY_ID=stay.icustay_id,
-                    DBSOURCE="synthetic",
-                    FIRST_CAREUNIT="MICU",
-                    LAST_CAREUNIT="MICU",
-                    INTIME=_fmt_ts(stay.intime),
-                    OUTTIME=_fmt_ts(stay.outtime),
-                    LOS=f"{stay.los_hours / 24.0:.4f}",
-                )
+                writers["ICUSTAYS"].write((
+                    *ids, stay.icustay_id, _fmt_ts(stay.intime),
+                    _fmt_ts(stay.outtime), f"{stay.los_hours / 24.0:.4f}",
+                ))
                 counts["events"] += _write_stay_events(
                     writers, registry, rng, profile, stay, config
                 )
@@ -417,103 +434,85 @@ def generate(config: SynthConfig, out_dir: str | Path) -> dict:
 def _write_stay_events(writers, registry: ItemRegistry,
                        rng: np.random.Generator, profile: PatientProfile,
                        stay: _StaySpec, config: SynthConfig) -> int:
-    """Events for one stay; a couple of hours beyond the 48h window are
-    generated on long stays to exercise the half-open window downstream."""
+    """Events for one stay, in emission order, one write per table; a couple
+    of hours beyond the 48h window exercise the half-open window downstream."""
     horizon = min(int(math.ceil(stay.los_hours)), 50)
-    written = 0
 
-    def emit(item_id: int, minute: int, value: float, decimals: int) -> None:
-        nonlocal written
-        table = registry.item_table[item_id]
-        charttime = _fmt_ts(stay.intime + timedelta(minutes=minute))
-        text = f"{value:.{decimals}f}"
-        if table == "chartevents":
-            writers["CHARTEVENTS"].write(
-                SUBJECT_ID=profile.subject_id, HADM_ID=profile.hadm_id,
-                ICUSTAY_ID=stay.icustay_id, ITEMID=item_id,
-                CHARTTIME=charttime, VALUE=text, VALUENUM=text,
-                VALUEUOM=_UNITS.get(item_id, ""),
-            )
-        elif table == "labevents":
-            writers["LABEVENTS"].write(
-                SUBJECT_ID=profile.subject_id, HADM_ID=profile.hadm_id,
-                ITEMID=item_id, CHARTTIME=charttime, VALUE=text,
-                VALUENUM=text, VALUEUOM=_UNITS.get(item_id, ""),
-            )
-        else:
-            writers["OUTPUTEVENTS"].write(
-                SUBJECT_ID=profile.subject_id, HADM_ID=profile.hadm_id,
-                ICUSTAY_ID=stay.icustay_id, CHARTTIME=charttime,
-                ITEMID=item_id, VALUE=text, VALUEUOM="ml",
-            )
-        written += 1
-
-    # Numeric channels.
-    for channel, items in _CHANNEL_ITEMS.items():
-        if channel == "UrineOutput":
-            continue
-        _, _, _, decimals = _VALUE_MODEL[channel]
-        values = _stay_channel_values(rng, channel, horizon, profile.label, config)
-        present = _presence_mask(
-            rng, config.missing_rate[channel], config.missing_scale, horizon
-        )
-        minutes = rng.integers(0, 60, size=horizon)
-        item_pick = rng.integers(0, len(items), size=horizon)
-        for hour in range(horizon):
-            if present[hour]:
-                emit(items[item_pick[hour]], hour * 60 + int(minutes[hour]),
-                     float(values[hour]), decimals)
+    # Numeric channels, channel by channel and hour by hour within each.
+    draws = []
+    for channel in _NUMERIC_CHANNELS:
+        draws.append((
+            _stay_channel_values(rng, channel, horizon, profile.label, config),
+            _presence_mask(rng, config.missing_rate[channel],
+                           config.missing_scale, horizon),
+            rng.integers(0, 60, size=horizon),
+            rng.integers(0, len(_CHANNEL_ITEMS[channel]), size=horizon),
+        ))
+    values, present, offsets, item_pick = map(np.array, zip(*draws))
+    channels, hours = np.nonzero(present)
+    items = _NUMERIC_ITEMS[channels, item_pick[channels, hours]].tolist()
+    minutes = (hours * 60 + offsets[channels, hours]).tolist()
+    texts = list(map(str.format, _NUMERIC_FORMATS[channels].tolist(),
+                     values[channels, hours].tolist()))
 
     # Coma score: three integer components, all charted together most of the
     # time, with occasional single-component dropouts.
     present = _presence_mask(
         rng, config.missing_rate["GCS"], config.missing_scale, horizon
     )
-    verbal = rng.integers(3, 6, size=horizon)
-    motor = rng.integers(4, 7, size=horizon)
-    eyes = rng.integers(2, 5, size=horizon)
-    minutes = rng.integers(0, 60, size=horizon)
-    drop = rng.random(horizon)
-    drop_which = rng.integers(0, 3, size=horizon)
-    for hour in range(horizon):
-        if not present[hour]:
-            continue
-        minute = hour * 60 + int(minutes[hour])
-        parts = [("gcs_verbal", verbal[hour]), ("gcs_motor", motor[hour]),
-                 ("gcs_eyes", eyes[hour])]
-        skip = drop_which[hour] if drop[hour] < 0.05 else -1
-        for k, (subrole, value) in enumerate(parts):
-            if k == skip:
-                continue
-            items = _GCS_ITEMS[subrole]
-            emit(items[int(rng.integers(0, len(items)))], minute,
-                 float(value), 0)
+    scores = np.stack([
+        rng.integers(3, 6, size=horizon),  # verbal
+        rng.integers(4, 7, size=horizon),  # motor
+        rng.integers(2, 5, size=horizon),  # eyes
+    ], axis=1)
+    offsets = rng.integers(0, 60, size=horizon)
+    drop = rng.random(horizon) < 0.05
+    skip = np.where(drop, rng.integers(0, 3, size=horizon), -1)
+    hours, parts = np.nonzero(present[:, None]
+                              & (np.arange(3) != skip[:, None]))
+    picks = [_GCS_ITEMS[part] for part in parts.tolist()]
+    items += [pick[int(rng.integers(0, len(pick)))] for pick in picks]
+    minutes += (hours * 60 + offsets[hours]).tolist()
+    texts += map(str, scores[hours, parts].tolist())
 
     # Urine output volumes, with an occasional irrigant in/out pair.
     present = _presence_mask(
         rng, config.missing_rate["UrineOutput"], config.missing_scale, horizon
     )
     volumes = rng.uniform(20.0, 150.0, size=horizon)
-    minutes = rng.integers(0, 60, size=horizon)
-    items = _CHANNEL_ITEMS["UrineOutput"]
-    item_pick = rng.integers(0, len(items), size=horizon)
+    offsets = rng.integers(0, 60, size=horizon)
+    urine_items = _CHANNEL_ITEMS["UrineOutput"]
+    item_pick = rng.integers(0, len(urine_items), size=horizon)
     irrigant = rng.random(horizon)
-    for hour in range(horizon):
-        if not present[hour]:
-            continue
-        minute = hour * 60 + int(minutes[hour])
-        emit(items[item_pick[hour]], minute, float(volumes[hour]), 0)
+    for hour in np.flatnonzero(present).tolist():
+        minute = hour * 60 + int(offsets[hour])
+        items.append(urine_items[item_pick[hour]])
+        minutes.append(minute)
+        texts.append(f"{volumes[hour]:.0f}")
         if irrigant[hour] < 0.04:
             out_vol = float(rng.uniform(50.0, 200.0))
             in_vol = float(rng.uniform(10.0, 0.8 * out_vol))
-            emit(227489, minute, out_vol, 0)
-            emit(227488, minute, in_vol, 0)
+            items += (227489, 227488)
+            minutes += (minute, minute)
+            texts += (f"{out_vol:.0f}", f"{in_vol:.0f}")
 
     # A pre-admission lab to exercise window filtering downstream.
     if rng.random() < 0.3:
-        early = -int(rng.integers(60, 600))
-        emit(50882, early, float(rng.uniform(20.0, 28.0)), 1)
-    return written
+        minutes.append(-int(rng.integers(60, 600)))
+        items.append(50882)
+        texts.append(f"{float(rng.uniform(20.0, 28.0)):.1f}")
+
+    charttimes = [t.replace("T", " ") for t in np.datetime_as_string(
+        np.datetime64(stay.intime, "s")
+        + np.array(minutes, dtype="timedelta64[m]"), unit="s").tolist()]
+    rows: dict[str, list[tuple]] = {}
+    for row in zip(items, charttimes, texts,
+                   map(_UNITS.get, items, repeat(""))):
+        rows.setdefault(registry.item_table[row[0]], []).append(row)
+    ids = (profile.subject_id, profile.hadm_id, stay.icustay_id)
+    for table, table_rows in rows.items():
+        writers[table.upper()].write(ids, table_rows)
+    return len(items)
 
 
 _UNITS = {

@@ -20,12 +20,13 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import DataError, SchemaError
+from .errors import DataError, PipelineError, SchemaError
 
 TS_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -277,12 +278,53 @@ def _open_text(source) -> tuple[io.TextIOBase, bool]:
     if isinstance(source, (str, Path)):
         path = Path(source)
         if path.suffix == ".gz":
-            return io.TextIOWrapper(gzip.open(path, "rb"), newline=""), True
-        return open(path, newline=""), True
+            return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8",
+                                    newline=""), True
+        return open(path, newline="", encoding="utf-8"), True
     if isinstance(source, io.TextIOBase):
         return source, False
     # Binary file-like (anything with a read() returning bytes).
     return io.TextIOWrapper(source, newline=""), False
+
+
+class CsvInput:
+    """The rows of one CSV path or stream, read under one error mapping.
+
+    Every input file the pipeline reads goes through here. Iterating opens
+    the source, decompressing a path that ends in ``.gz``, and yields each
+    row's fields; ``line_num`` is the physical line of the last row. A file
+    that cannot be opened, read, decompressed or decoded as UTF-8, and a row
+    the CSV reader rejects, raise ``error`` naming the file and, for a bad
+    row, its line.
+    """
+
+    def __init__(self, source, error: type[PipelineError] = DataError):
+        self.source = source
+        self.name = source if isinstance(source, (str, Path)) else "input"
+        self.error = error
+        self._reader = None
+
+    @property
+    def line_num(self) -> int:
+        return self._reader.line_num if self._reader is not None else 0
+
+    def __iter__(self) -> Iterator[list[str]]:
+        try:
+            fh, owns = _open_text(self.source)
+            try:
+                self._reader = csv.reader(fh)
+                yield from self._reader
+            finally:
+                if owns:
+                    fh.close()
+        except csv.Error as exc:
+            raise self.error(f"{self.name}:{self.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{self.name}: not UTF-8 text ({exc.reason})"
+                             ) from exc
+        except (OSError, EOFError, zlib.error) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise self.error(f"cannot read {self.name}: {reason}") from exc
 
 
 def parse_table(source, schema: TableSchema, error_policy: str = "skip"
@@ -294,23 +336,20 @@ def parse_table(source, schema: TableSchema, error_policy: str = "skip"
     stats are complete once the iterator is exhausted. Under
     ``error_policy="skip"`` malformed rows are counted and skipped; under
     ``"strict"`` the first malformed row raises SchemaError with its
-    1-based physical line number (header included).
+    1-based physical line number (header included). A file that cannot be
+    read raises DataError (see ``CsvInput``).
     """
     if error_policy not in ("skip", "strict"):
         raise SchemaError(f"unknown error policy {error_policy!r}")
-    fh, owns = _open_text(source)
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        if owns:
-            fh.close()
+    csv_input = CsvInput(source)
+    lines = iter(csv_input)
+    header = next(lines, None)
+    if header is None:
         raise SchemaError(f"{schema.name}: file is empty, header row required")
     col_idx = {name.strip().lower(): i for i, name in enumerate(header)}
     missing = [c for c in schema.required if c not in col_idx]
     if missing:
-        if owns:
-            fh.close()
+        lines.close()
         raise SchemaError(
             f"{schema.name}: missing required column(s): {', '.join(missing)}"
         )
@@ -319,32 +358,28 @@ def parse_table(source, schema: TableSchema, error_policy: str = "skip"
     stats = ParseStats()
 
     def rows() -> Iterator:
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                stats.rows_read += 1
-                values: dict[str, str] = {}
-                for name, i in take:
-                    if i < len(row):
-                        v = row[i].strip()
-                        if v:
-                            values[name] = v
-                try:
-                    record = schema.build(values)
-                except ValueError as exc:
-                    stats.rows_dropped += 1
-                    if error_policy == "strict":
-                        raise SchemaError(
-                            f"{schema.name}: malformed row at line "
-                            f"{reader.line_num}: {exc}"
-                        ) from exc
-                    continue
-                stats.rows_kept += 1
-                yield record
-        finally:
-            if owns:
-                fh.close()
+        for row in lines:
+            if not row:
+                continue
+            stats.rows_read += 1
+            values: dict[str, str] = {}
+            for name, i in take:
+                if i < len(row):
+                    v = row[i].strip()
+                    if v:
+                        values[name] = v
+            try:
+                record = schema.build(values)
+            except ValueError as exc:
+                stats.rows_dropped += 1
+                if error_policy == "strict":
+                    raise SchemaError(
+                        f"{schema.name}: malformed row at line "
+                        f"{csv_input.line_num}: {exc}"
+                    ) from exc
+                continue
+            stats.rows_kept += 1
+            yield record
 
     return rows(), stats
 
@@ -364,23 +399,16 @@ def read_artifact_rows(path: str | Path, header: Sequence[str]
     row without one field per column raise DataError naming the file and,
     where it is known, the line.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != list(header):
-                raise DataError(f"{path}:1: expected the header "
-                                f"{','.join(header)}")
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{reader.line_num}: expected "
-                                    f"{len(header)} fields, found {len(row)}")
-                yield reader.line_num, row
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    csv_input = CsvInput(path)
+    lines = iter(csv_input)
+    if next(lines, None) != list(header):
+        lines.close()
+        raise DataError(f"{path}:1: expected the header {','.join(header)}")
+    for row in lines:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{csv_input.line_num}: expected "
+                            f"{len(header)} fields, found {len(row)}")
+        yield csv_input.line_num, row
 
 
 def table_path(data_dir: str | Path, table_name: str) -> Path:

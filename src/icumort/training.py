@@ -45,6 +45,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
+        if self.patience < 0:
+            raise ConfigError("patience must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         if self.monitor not in ("loss", "auc"):
             raise ConfigError(f"unknown early-stopping monitor {self.monitor!r}")
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gzip
 import json
 import shutil
 
@@ -303,3 +304,94 @@ def test_garbled_artifact_is_one_error_line(reference_dir, tmp_path, capsys,
         assert main([stage, *data, "--work", str(work), *_SEED]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {work / name}:2: ")
+
+
+@pytest.mark.parametrize("rates", [[], _CLEAN], ids=["anomalies", "clean"])
+def test_synth_log_counts_the_data_rows_of_every_table(tmp_path, rates):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "NOTES.csv").write_text("a,b\n")  # not a generated table
+    assert main(["synth", "--out", str(data), "--seed", "3",
+                 "--synth-patients", "30", *rates]) == 0
+    log = _log(data, "synth")
+    counts = log["counts"]
+    tables = sorted(p.name for p in data.glob("*.csv")
+                    if p.name != "NOTES.csv")
+    assert len(tables) == 8
+    assert log["artifacts"] == [*tables, "synth_manifest.json"]
+    assert "notes_rows" not in counts
+    for name in tables:
+        with open(data / name, newline="") as fh:
+            rows = sum(1 for _ in csv.reader(fh)) - 1
+        assert counts[f"{name[:-4].lower()}_rows"] == rows, name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--effect-size", "nan"], "effect_size must be finite"),
+    (["synth", "--age-min", "nan"], "age_min must be finite"),
+    (["synth", "--age-max", "inf"], "age_max must be finite"),
+    (["train", "--learning-rate", "-1"], "learning_rate must be finite and"),
+    (["train", "--learning-rate", "nan"], "learning_rate must be finite and"),
+    (["train", "--learning-rate", "inf"], "learning_rate must be finite and"),
+    (["train", "--patience", "-1"], "patience must be nonnegative"),
+], ids=["effect-nan", "age-min-nan", "age-max-inf", "lr-negative", "lr-nan",
+        "lr-inf", "patience-negative"])
+def test_bad_config_value_is_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    where = (["--out", str(out), "--synth-patients", "20", "--signal",
+              "temporal_trend"] if argv[0] == "synth" else ["--work", str(out)])
+    assert main([*argv, *where, "--seed", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
+def _garble_labevents_bytes(data):
+    with open(data / "LABEVENTS.csv", "ab") as fh:
+        fh.write(b"\xff\xfe")
+
+
+def _truncate_labevents_gz(data):
+    raw = gzip.compress((data / "LABEVENTS.csv").read_bytes())
+    (data / "LABEVENTS.csv.gz").write_bytes(raw[:len(raw) // 2])
+    (data / "LABEVENTS.csv").unlink()
+
+
+_REGISTRY_HEADER = "item_id,channel,subrole,source_table\n"
+
+
+@pytest.mark.parametrize("stage, garble, option, content, message", [
+    ("featurize", _garble_labevents_bytes, None, None,
+     "LABEVENTS.csv: not UTF-8 text"),
+    ("featurize", _truncate_labevents_gz, None, None,
+     "LABEVENTS.csv.gz: Compressed file ended"),
+    ("featurize", None, "--registry",
+     _REGISTRY_HEADER + "x1,HeartRate,plain,chartevents\n",
+     "line 2: bad item id 'x1'"),
+    ("featurize", None, "--registry",
+     _REGISTRY_HEADER + "# a comment\n211,HeartRate\n",
+     "line 3: expected 4 fields, found 2"),
+    ("featurize", None, "--registry", None, "No such file or directory"),
+    ("cohort", None, "--icd9-flags", None, "No such file or directory"),
+], ids=["labevents-not-utf8", "labevents-truncated-gz", "registry-bad-id",
+        "registry-two-fields", "registry-missing", "icd9-flags-missing"])
+def test_bad_raw_input_is_one_error_line(reference_dir, tmp_path, capsys,
+                                         stage, garble, option, content,
+                                         message):
+    # A missing input file is an option naming a file that is not there.
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    if garble is not None:
+        garble(work / "data")
+    extra = []
+    if option is not None:
+        path = tmp_path / "input.csv"
+        if content is not None:
+            path.write_text(content)
+        extra = [option, str(path)]
+    assert main([stage, "--data", str(work / "data"), "--work", str(work),
+                 *_SEED, *extra]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -284,3 +285,71 @@ def test_generated_and_injected_bytes_are_pinned(tmp_path, monkeypatch,
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir())}
     assert got == _PINNED_SHA256
+
+
+def _trend_config(**rates):
+    return SynthConfig(n_patients=60, seed=5, signal_mode="temporal_trend",
+                       effect_size=2.0, mortality_rate=0.3,
+                       readmission_rate=0.6, **rates)
+
+
+_CLEAN_RATES = dict(celsius_rate=0.0, error_text_rate=0.0,
+                    duplicate_rate=0.0, missing_span_rate=0.0)
+_SHARED_TREND_SHA256 = {
+    "ADMISSIONS.csv": "bd93fc5b1a89a392bbe24514ef5b1dde402ade8e12525ea282dcd91601af7e15",
+    "DIAGNOSES_ICD.csv": "8eb6e861aa18891a48e35180be0254e945944b9dc86ddf3e3eacca1955e389fe",
+    "ICUSTAYS.csv": "6af1f994270dd86d4619926bdfac4aaa73646f5f9920811da49a8072aa9f9049",
+    "PATIENTS.csv": "9f00db71bcbbe8686a4fe095174a7a2f1f99bbf7f77e6c7b999920e0cde83f5e",
+    "SERVICES.csv": "4f79fae393aa15dc5dd5db575fc2fddd5bde21f33d5b15e8445d2418a851224f",
+}
+# The same trend config, once clean and once at the default anomaly rates:
+# readmissions, the trend ramp, irrigant pairs, pre-admission labs and every
+# injection kind all occur in it.
+_TREND_SHA256 = {
+    "clean": {
+        **_SHARED_TREND_SHA256,
+        "CHARTEVENTS.csv": "c5a4fe6acc79d2c3d5ea233e2d3cb32a3b886fe97cb23e6d8020303136817852",
+        "LABEVENTS.csv": "5ac5fcac367eca4907e915b1ecce094b7441f4f5b102c0e5db4af949c8ca2cfb",
+        "OUTPUTEVENTS.csv": "cc7f2738055077a3ee6975625224453b9d38dec877d0698ebeae29559c5d63fb",
+        "synth_manifest.json": "1c308c8d889466d64ac14891df1f66c3cb4d279dd7f26d993b8339fc5a4dd951",
+    },
+    "injected": {
+        **_SHARED_TREND_SHA256,
+        "CHARTEVENTS.csv": "41d01adfe75e33fed7ae4f6eea3ac4c0067e30369fde93c9f14f984f5b8c8288",
+        "LABEVENTS.csv": "6669743d0cac307cd5f02cf8b70c0e6d5f1a95e7d3aefd38132f3590060c3a71",
+        "OUTPUTEVENTS.csv": "e37100b24786862e0b2cef60414147d04c12c6510aa785dd33f54eec4069d3f3",
+        "synth_manifest.json": "b9cb84f78c56bd94097a6e6ce94ac7192b1bce62e37b55923d7d18b2e090c5db",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_TREND_SHA256))
+def test_trend_config_bytes_are_pinned(tmp_path, variant):
+    if variant == "clean":
+        generate(_trend_config(**_CLEAN_RATES), tmp_path)
+    else:
+        config = _trend_config()
+        generate(config, tmp_path)
+        assert all(inject_anomalies(tmp_path, config).values())
+    stays = _read_rows(tmp_path / "ICUSTAYS.csv")
+    assert len({r["SUBJECT_ID"] for r in stays}) < len(stays)  # readmissions
+    outputs = {r["ITEMID"] for r in _read_rows(tmp_path / "OUTPUTEVENTS.csv")}
+    assert {"227488", "227489"} <= outputs  # irrigant pairs
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == _TREND_SHA256[variant]
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["clean", "injected"])
+def test_no_generated_field_needs_quoting(tmp_path, inject):
+    config = _trend_config()
+    generate(config, tmp_path)
+    if inject:
+        inject_anomalies(tmp_path, config)
+    for name in ALL_TABLES:
+        path = tmp_path / f"{name}.csv"
+        with open(path, newline="") as src:
+            rows = list(csv.reader(src))
+        out = io.StringIO(newline="")
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        assert out.getvalue().encode() == path.read_bytes(), name
