@@ -77,18 +77,8 @@ def stage_synth(args: dict) -> None:
     config = _config_from_args(synth.SynthConfig, args,
                                seed=derive_seed(args["seed"], "synth"))
     counts = synth.generate(config, out_dir)
-    if (config.celsius_rate or config.error_text_rate or config.duplicate_rate
-            or config.missing_span_rate):
-        injections = synth.inject_anomalies(out_dir, config)
-        counts = {**counts,
-                  **{f"injected_{k}": len(v) for k, v in injections.items()}}
-    artifacts = sorted(f"{name}.csv" for name in synth.TABLES)
-    for name in artifacts:  # no generated field holds a line break
-        with open(out_dir / name, "rb") as fh:
-            lines = sum(block.count(b"\n")
-                        for block in iter(lambda: fh.read(1 << 20), b""))
-        counts[f"{name[:-4].lower()}_rows"] = lines - 1
-    artifacts.append(synth.MANIFEST_NAME)
+    artifacts = [*sorted(f"{name}.csv" for name in synth.TABLES),
+                 synth.MANIFEST_NAME]
     _write_stage_log(out_dir, "synth", args["seed"], counts, artifacts, started)
     print(f"synth: wrote {counts['events']} events for "
           f"{counts['patients']} patients to {out_dir}")
@@ -260,6 +250,8 @@ def stage_evaluate(args: dict) -> None:
     started = time.monotonic()
     work_dir = Path(args["work"])
     threshold = args["threshold"]
+    if not 0.0 <= threshold <= 1.0:  # false for nan as well
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     tensors, split_by_stay = featurize.read_features(work_dir)
     model = nn.load_checkpoint(work_dir / "lstm_checkpoint.bin")
     lr_model = baseline.load_lr(work_dir / "logreg_checkpoint.txt")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -264,18 +265,37 @@ def finish_tensor(stay: CohortStay, series: Sequence[Sequence[Optional[float]]],
     return tensor
 
 
+def attribute_event(icustay_id: Optional[int], hadm_id: Optional[int],
+                    charttime: datetime, by_icustay: Mapping, by_hadm: Mapping
+                    ) -> tuple:
+    """The pipeline's only event-to-stay attribution rule.
+
+    An event with a stay id belongs to that cohort stay, with no fallback to
+    its admission; an event without one (lab events carry only the admission
+    id) belongs to the cohort stay of its admission. The lookups map ids to
+    cohort stays, anything with an ``intime``. Returns (stay, minute since
+    the stay's INTIME): (None, None) outside the cohort, and (stay, None)
+    outside the stay's 48 hour window.
+    """
+    if icustay_id is not None:
+        stay = by_icustay.get(icustay_id)
+    else:
+        stay = by_hadm.get(hadm_id)
+    if stay is None:
+        return None, None
+    minute = int((charttime - stay.intime).total_seconds() // 60)
+    return stay, minute if 0 <= minute < WINDOW_MINUTES else None
+
+
 def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
                         registry: ItemRegistry, error_policy: str = "skip"
                         ) -> tuple[dict[int, StayEvents], dict[str, int]]:
     """Stream the three event tables and bucket usable values per stay.
 
-    This is the pipeline's only event-to-stay attribution rule. An event
-    with a stay id belongs to that cohort stay; an event without one (lab
-    events carry only the admission id) belongs to the cohort stay of its
-    admission. It is kept when its item is in the registry, its time falls
-    inside the stay's 48 hour window and its value parses as a number.
-    Every row read lands in ``events_matched`` or in exactly one of the
-    ``events_*`` drop counters.
+    An event is kept when its item is in the registry, ``attribute_event``
+    places it in a cohort stay's 48 hour window and its value parses as a
+    number. Every row read lands in ``events_matched`` or in exactly one of
+    the ``events_*`` drop counters.
     """
     by_icustay = {s.icustay_id: s for s in cohort}
     by_hadm = {s.hadm_id: s for s in cohort}
@@ -299,17 +319,12 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
             if resolved is None:
                 counts["events_unlisted_item"] += 1
                 continue
-            if event.icustay_id is not None:
-                stay = by_icustay.get(event.icustay_id)
-            elif event.hadm_id is not None:
-                stay = by_hadm.get(event.hadm_id)
-            else:
-                stay = None
+            stay, minute = attribute_event(event.icustay_id, event.hadm_id,
+                                           event.charttime, by_icustay, by_hadm)
             if stay is None:
                 counts["events_outside_cohort"] += 1
                 continue
-            minute = int((event.charttime - stay.intime).total_seconds() // 60)
-            if not 0 <= minute < WINDOW_MINUTES:
+            if minute is None:
                 counts["events_outside_window"] += 1
                 continue
             value = parse_numeric(event.value_num, event.value_text)

@@ -21,21 +21,26 @@ out/in pair right after its hour's volume; then the optional pre-admission
 lab. Each row goes to the table the item registry names for its item, and
 every table numbers its ROW_IDs 1, 2, ... in that emission order.
 
-``inject_anomalies`` then dirties the files the way real exports are dirty
-(Celsius temperature rows, "ERROR" value texts, duplicated same-hour
-measurements, missing spans) and records a manifest so tests can verify the
-cleaning stage recovered every case.
+When any anomaly rate is above 0, the same pass dirties the event rows the
+way real exports are dirty. Each row draws its coins from a stream keyed by
+(seed, table, ROW_ID): a Fahrenheit temperature row may turn Celsius, a value
+may become the text "ERROR", and a row may gain a same-hour duplicate. Rows
+inside a missing (stay, channel) hour span are dropped, and their ROW_IDs
+stay as gaps. The duplicates follow each table's last row, numbered on from
+its last ROW_ID. The manifest records every anomaly that featurization will
+see, by the stay and hour that ``featurize.attribute_event`` gives its row,
+so tests can check that cleaning recovered each case; ``inject_anomalies``
+reads those entries back.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from itertools import islice, repeat
+from itertools import count, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,14 +55,15 @@ from .cohort import (
     first_stay_per_patient,
 )
 from .errors import ConfigError
-from .featurize import WINDOW_MINUTES
-from .items import N_CHANNELS, ItemRegistry, load_registry, resolve_item
+from .featurize import attribute_event
+from .items import N_CHANNELS, ItemRegistry, load_registry
 from .seeding import SplitMix64, derive_seed, derive_seed_many, leading_uniforms
 from .tables import (
     ADMISSIONS,
     ICUSTAYS,
     PATIENTS,
     TS_FORMAT,
+    StayRow,
     load_table,
     parse_timestamp,
     table_path,
@@ -68,7 +74,8 @@ MANIFEST_NAME = "synth_manifest.json"
 
 # Each table's columns in file order, each with the row template field that
 # fills it or its fixed text. {0} is the ROW_ID; event rows fill {1} subject,
-# {2} admission, {3} stay, {4} item, {5} CHARTTIME, {6} value and {7} unit.
+# {2} admission, {3} stay, {4} item, {5} CHARTTIME, {6} VALUE, {7} VALUENUM
+# and {8} unit.
 TABLES = {
     "PATIENTS": {"ROW_ID": "{0}", "SUBJECT_ID": "{1}", "GENDER": "{2}",
                  "DOB": "{3}", "DOD": "", "DOD_HOSP": "{4}", "DOD_SSN": "",
@@ -89,13 +96,13 @@ TABLES = {
     "CHARTEVENTS": {
         "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
         "ICUSTAY_ID": "{3}", "ITEMID": "{4}", "CHARTTIME": "{5}",
-        "STORETIME": "", "CGID": "", "VALUE": "{6}", "VALUENUM": "{6}",
-        "VALUEUOM": "{7}", "WARNING": "", "ERROR": "", "RESULTSTATUS": "",
+        "STORETIME": "", "CGID": "", "VALUE": "{6}", "VALUENUM": "{7}",
+        "VALUEUOM": "{8}", "WARNING": "", "ERROR": "", "RESULTSTATUS": "",
         "STOPPED": ""},
     "LABEVENTS": {
         "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
-        "ITEMID": "{4}", "CHARTTIME": "{5}", "VALUE": "{6}", "VALUENUM": "{6}",
-        "VALUEUOM": "{7}", "FLAG": ""},
+        "ITEMID": "{4}", "CHARTTIME": "{5}", "VALUE": "{6}", "VALUENUM": "{7}",
+        "VALUEUOM": "{8}", "FLAG": ""},
     "OUTPUTEVENTS": {
         "ROW_ID": "{0}", "SUBJECT_ID": "{1}", "HADM_ID": "{2}",
         "ICUSTAY_ID": "{3}", "CHARTTIME": "{5}", "ITEMID": "{4}",
@@ -141,19 +148,16 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_patients < 5:
             raise ConfigError("n_patients must be at least 5")
-        for name, value in asdict(self).items():
+        values = asdict(self)
+        for name, value in values.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        rates = {
-            "mortality_rate": self.mortality_rate,
-            "readmission_rate": self.readmission_rate,
-            "long_stay_frac": self.long_stay_frac,
-            "celsius_rate": self.celsius_rate,
-            "error_text_rate": self.error_text_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "missing_span_rate": self.missing_span_rate,
-            **{f"missing_rate[{k}]": v for k, v in self.missing_rate.items()},
-        }
+        # Every *_rate and *_frac field is a probability, and so is each
+        # per-channel missing rate.
+        rates = {name: value for name, value in values.items()
+                 if name.endswith(("_rate", "_frac")) and name != "missing_rate"}
+        rates.update((f"missing_rate[{k}]", v)
+                     for k, v in self.missing_rate.items())
         for name, value in rates.items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
@@ -223,6 +227,10 @@ def _fmt_ts(ts: datetime) -> str:
     return ts.strftime(TS_FORMAT)
 
 
+# Placeholders for a row's own fields, {1} on: more than any table has.
+_OWN_FIELDS = tuple(f"{{{i}}}" for i in range(1, 10))
+
+
 class _TableWriter:
     """One table file: its header, its row template and its ROW_ID count."""
 
@@ -231,23 +239,37 @@ class _TableWriter:
         self._fh = open(directory / f"{name}.csv", "w", newline="")
         self._fh.write(",".join(columns) + "\n")
         self._template = ",".join(columns.values()) + "\n"
-        self.rows = 0
+        self.last_id = 0  # ROW_IDs taken, by written and left-out rows
+        self.rows = 0  # data lines written
+        self._held: list[str] = []
 
-    def write(self, shared: tuple, rows: Sequence[tuple] = ((),)) -> None:
+    def write(self, shared: tuple, rows: Sequence[Optional[tuple]] = ((),)
+              ) -> None:
         """Append one line per row, numbering the ROW_IDs (field {0}).
 
         Fields {1} on are the ``shared`` values, the same on every row, then
-        the row's own values; by default one row with none. Shared values go
-        into the template once per call (none holds a brace), so each line
-        formats only its own fields. No generated value needs CSV quoting."""
-        own = [f"{{{i}}}" for i in range(1, len(rows[0]) + 1)]
-        fmt = self._template.format("{0}", *shared, *own).format
+        the row's own values (any past the template's fields are ignored);
+        by default one row with none. A None row keeps its ROW_ID but writes
+        no line. Shared values go into the template once per call (none
+        holds a brace). No generated value needs CSV quoting."""
+        fmt = self._template.format("{0}", *shared, *_OWN_FIELDS).format
         lines = [fmt(row_id, *row)
-                 for row_id, row in enumerate(rows, self.rows + 1)]
+                 for row_id, row in enumerate(rows, self.last_id + 1)
+                 if row is not None]
+        self.last_id += len(rows)
         self.rows += len(lines)
         self._fh.write("".join(lines))
 
+    def hold(self, shared: tuple, row: tuple) -> None:
+        """Keep a row to append, numbered on, after the table's last row."""
+        self._held.append(self._template.format("", *shared, *row))
+
     def close(self) -> None:
+        """Append the held rows and close the file."""
+        self._fh.write("".join(f"{row_id}{line}" for row_id, line in
+                               enumerate(self._held, self.last_id + 1)))
+        self.rows += len(self._held)
+        self._held = []
         self._fh.close()
 
 
@@ -292,62 +314,41 @@ def sample_patients(config: SynthConfig) -> list[PatientProfile]:
             age = min(config.age_max, age + age_shift * config.effect_size)
 
         first_intime = BASE_INTIME + timedelta(
-            minutes=int(rng.integers(0, 10 * 365 * 24 * 60))
-        )
-        if rng.random() < config.long_stay_frac:
-            first_los = float(rng.uniform(49.0, 240.0))
-        else:
-            first_los = float(rng.uniform(2.0, 48.0))
+            minutes=int(rng.integers(0, 10 * 365 * 24 * 60)))
+        first_los = float(rng.uniform(49.0, 240.0)
+                          if rng.random() < config.long_stay_frac
+                          else rng.uniform(2.0, 48.0))
         stays = [_StaySpec(next_stay_id, first_intime, first_los)]
         next_stay_id += 1
         while len(stays) < 3 and rng.random() < config.readmission_rate:
             gap = float(rng.uniform(6.0, 96.0))
             los = float(rng.uniform(5.0, 120.0))
-            stays.append(
-                _StaySpec(next_stay_id, stays[-1].outtime + timedelta(hours=gap), los)
-            )
+            stays.append(_StaySpec(
+                next_stay_id, stays[-1].outtime + timedelta(hours=gap), los))
             next_stay_id += 1
 
-        admission_type = str(
-            rng.choice(["ELECTIVE", "EMERGENCY", "URGENT"], p=[0.2, 0.65, 0.15])
-        )
-        if admission_type == "ELECTIVE":
-            surgical = rng.random() < 0.7
-        else:
-            surgical = rng.random() < 0.3
-        service = str(
-            rng.choice(_SURGICAL_SERVICES if surgical else _MEDICAL_SERVICES)
-        )
+        admission_type = str(rng.choice(["ELECTIVE", "EMERGENCY", "URGENT"],
+                                        p=[0.2, 0.65, 0.15]))
+        surgical = rng.random() < (0.7 if admission_type == "ELECTIVE" else 0.3)
+        service = str(rng.choice(_SURGICAL_SERVICES if surgical
+                                 else _MEDICAL_SERVICES))
 
         boost = (1.0 + 2.5 * config.effect_size
                  if config.signal_mode == "static_only" and label else 1.0)
         codes = list(rng.choice(_BACKGROUND_ICD9, size=2, replace=False))
-        if rng.random() < min(1.0, 0.02 * boost):
-            codes.append(str(rng.choice(_AIDS_CODES)))
-        if rng.random() < min(1.0, 0.05 * boost):
-            codes.append(str(rng.choice(_HEM_CODES)))
-        if rng.random() < min(1.0, 0.08 * boost):
-            codes.append(str(rng.choice(_MET_CODES)))
+        for flag_codes, rate in ((_AIDS_CODES, 0.02), (_HEM_CODES, 0.05),
+                                 (_MET_CODES, 0.08)):
+            if rng.random() < min(1.0, rate * boost):
+                codes.append(str(rng.choice(flag_codes)))
 
-        if age > MAX_UNSHIFTED_AGE_YEARS:
-            dob = first_intime - timedelta(days=300.2 * DAYS_PER_YEAR)
-        else:
-            dob = first_intime - timedelta(days=age * DAYS_PER_YEAR)
+        years = 300.2 if age > MAX_UNSHIFTED_AGE_YEARS else age
+        dob = first_intime - timedelta(days=years * DAYS_PER_YEAR)
         flag_inconsistent = bool(rng.random() < 0.01)
-        profiles.append(
-            PatientProfile(
-                subject_id=subject_id,
-                hadm_id=500000 + i,
-                age=age,
-                label=label,
-                flag_inconsistent=flag_inconsistent,
-                admission_type=admission_type,
-                service=service,
-                icd9_codes=codes,
-                stays=stays,
-                dob=dob,
-            )
-        )
+        profiles.append(PatientProfile(
+            subject_id=subject_id, hadm_id=500000 + i, age=age, label=label,
+            flag_inconsistent=flag_inconsistent, admission_type=admission_type,
+            service=service, icd9_codes=codes, stays=stays, dob=dob,
+        ))
     return profiles
 
 
@@ -366,41 +367,47 @@ def _stay_channel_values(rng: np.random.Generator, channel: str,
     return values
 
 
-def _presence_mask(rng: np.random.Generator, missing: float, scale: float,
-                   horizon: int) -> np.ndarray:
-    p_missing = min(1.0, missing * scale)
+def _presence_mask(rng: np.random.Generator, config: SynthConfig,
+                   channel: str, horizon: int) -> np.ndarray:
+    p_missing = min(1.0, config.missing_rate[channel] * config.missing_scale)
     return rng.random(horizon) >= p_missing
 
 
 def generate(config: SynthConfig, out_dir: str | Path) -> dict:
-    """Write the eight tables plus a manifest; byte-deterministic per seed."""
+    """Write the eight tables plus a manifest; byte-deterministic per seed.
+
+    Injects anomalies into the event rows as it writes them when any of the
+    four anomaly rates is above 0; otherwise the manifest's ``injections``
+    is null. Returns the manifest's counts, plus the data rows written to
+    each table (``<table>_rows``) and, when it injects, the manifest entries
+    of each anomaly kind (``injected_<kind>``).
+    """
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     registry = load_registry()
-    profiles = sample_patients(config)
+    injecting = (config.celsius_rate or config.error_text_rate
+                 or config.duplicate_rate or config.missing_span_rate)
+    anomalies = _Anomalies(config, registry) if injecting else None
 
     writers = {name: _TableWriter(out_dir, name) for name in TABLES}
     counts = {"patients": 0, "stays": 0, "events": 0}
     try:
-        for profile in profiles:
+        for profile in sample_patients(config):
             counts["patients"] += 1
             rng = np.random.default_rng(
-                derive_seed(config.seed, "synth-events", profile.subject_id)
-            )
-            last_out = profile.stays[-1].outtime
+                derive_seed(config.seed, "synth-events", profile.subject_id))
             admit = profile.stays[0].intime - timedelta(
-                minutes=int(rng.integers(60, 12 * 60))
-            )
-            disch = last_out + timedelta(minutes=int(rng.integers(12 * 60, 240 * 60)))
+                minutes=int(rng.integers(60, 12 * 60)))
+            disch = profile.stays[-1].outtime + timedelta(
+                minutes=int(rng.integers(12 * 60, 240 * 60)))
             death = _fmt_ts(disch) if profile.label else ""
-            flag = int(profile.label)
-            if profile.flag_inconsistent:
-                flag = 1 - flag
+            flag = int(profile.label != profile.flag_inconsistent)
             ids = (profile.subject_id, profile.hadm_id)
+            dob = _fmt_ts(profile.dob)
             writers["PATIENTS"].write((
                 profile.subject_id, "F" if rng.random() < 0.5 else "M",
-                _fmt_ts(profile.dob), death, int(profile.label),
+                dob, death, int(profile.label),
             ))
             writers["ADMISSIONS"].write((
                 *ids, _fmt_ts(admit), _fmt_ts(disch), death,
@@ -409,33 +416,44 @@ def generate(config: SynthConfig, out_dir: str | Path) -> dict:
             writers["SERVICES"].write((*ids, _fmt_ts(admit), profile.service))
             writers["DIAGNOSES_ICD"].write(
                 ids, list(enumerate(profile.icd9_codes, start=1)))
+            stay_rows = []
             for stay in profile.stays:
                 counts["stays"] += 1
+                times = _fmt_ts(stay.intime), _fmt_ts(stay.outtime)
                 writers["ICUSTAYS"].write((
-                    *ids, stay.icustay_id, _fmt_ts(stay.intime),
-                    _fmt_ts(stay.outtime), f"{stay.los_hours / 24.0:.4f}",
+                    *ids, stay.icustay_id, *times,
+                    f"{stay.los_hours / 24.0:.4f}",
                 ))
+                stay_rows.append(StayRow(*ids, stay.icustay_id,
+                                         *map(parse_timestamp, times)))
+            if anomalies is not None:
+                anomalies.admit(stay_rows, parse_timestamp(dob))
+            for stay in profile.stays:
                 counts["events"] += _write_stay_events(
-                    writers, registry, rng, profile, stay, config
+                    writers, registry, rng, profile, stay, config, anomalies
                 )
     finally:
         for writer in writers.values():
             writer.close()
 
-    manifest = {
-        "config": asdict(config),
-        "counts": counts,
-        "injections": None,
+    injections = anomalies.manifest_entries() if anomalies else None
+    (out_dir / MANIFEST_NAME).write_text(json.dumps(
+        {"config": asdict(config), "counts": counts, "injections": injections},
+        indent=1, sort_keys=True) + "\n")
+    return {
+        **counts,
+        **{f"{name.lower()}_rows": w.rows for name, w in writers.items()},
+        **{f"injected_{k}": len(v) for k, v in (injections or {}).items()},
     }
-    _write_manifest(out_dir, manifest)
-    return counts
 
 
 def _write_stay_events(writers, registry: ItemRegistry,
                        rng: np.random.Generator, profile: PatientProfile,
-                       stay: _StaySpec, config: SynthConfig) -> int:
+                       stay: _StaySpec, config: SynthConfig,
+                       anomalies: Optional[_Anomalies]) -> int:
     """Events for one stay, in emission order, one write per table; a couple
-    of hours beyond the 48h window exercise the half-open window downstream."""
+    of hours beyond the 48h window exercise the half-open window downstream.
+    Returns the rows emitted, before any anomaly."""
     horizon = min(int(math.ceil(stay.los_hours)), 50)
 
     # Numeric channels, channel by channel and hour by hour within each.
@@ -443,8 +461,7 @@ def _write_stay_events(writers, registry: ItemRegistry,
     for channel in _NUMERIC_CHANNELS:
         draws.append((
             _stay_channel_values(rng, channel, horizon, profile.label, config),
-            _presence_mask(rng, config.missing_rate[channel],
-                           config.missing_scale, horizon),
+            _presence_mask(rng, config, channel, horizon),
             rng.integers(0, 60, size=horizon),
             rng.integers(0, len(_CHANNEL_ITEMS[channel]), size=horizon),
         ))
@@ -457,9 +474,7 @@ def _write_stay_events(writers, registry: ItemRegistry,
 
     # Coma score: three integer components, all charted together most of the
     # time, with occasional single-component dropouts.
-    present = _presence_mask(
-        rng, config.missing_rate["GCS"], config.missing_scale, horizon
-    )
+    present = _presence_mask(rng, config, "GCS", horizon)
     scores = np.stack([
         rng.integers(3, 6, size=horizon),  # verbal
         rng.integers(4, 7, size=horizon),  # motor
@@ -476,9 +491,7 @@ def _write_stay_events(writers, registry: ItemRegistry,
     texts += map(str, scores[hours, parts].tolist())
 
     # Urine output volumes, with an occasional irrigant in/out pair.
-    present = _presence_mask(
-        rng, config.missing_rate["UrineOutput"], config.missing_scale, horizon
-    )
+    present = _presence_mask(rng, config, "UrineOutput", horizon)
     volumes = rng.uniform(20.0, 150.0, size=horizon)
     offsets = rng.integers(0, 60, size=horizon)
     urine_items = _CHANNEL_ITEMS["UrineOutput"]
@@ -502,16 +515,23 @@ def _write_stay_events(writers, registry: ItemRegistry,
         items.append(50882)
         texts.append(f"{float(rng.uniform(20.0, 28.0)):.1f}")
 
-    charttimes = [t.replace("T", " ") for t in np.datetime_as_string(
-        np.datetime64(stay.intime, "s")
-        + np.array(minutes, dtype="timedelta64[m]"), unit="s").tolist()]
+    stamps = (np.datetime64(stay.intime, "s")
+              + np.array(minutes, dtype="timedelta64[m]"))
+    charttimes = [t.replace("T", " ") for t in
+                  np.datetime_as_string(stamps, unit="s").tolist()]
+    # A row: item, CHARTTIME, VALUE, VALUENUM, unit, and the CHARTTIME as a
+    # datetime when anomalies are injected (past the template's fields).
     rows: dict[str, list[tuple]] = {}
-    for row in zip(items, charttimes, texts,
-                   map(_UNITS.get, items, repeat(""))):
-        rows.setdefault(registry.item_table[row[0]], []).append(row)
+    for row in zip(items, charttimes, texts, texts,
+                   map(_UNITS.get, items, repeat("")),
+                   repeat(None) if anomalies is None else stamps.tolist()):
+        rows.setdefault(registry.item_table[row[0]].upper(), []).append(row)
     ids = (profile.subject_id, profile.hadm_id, stay.icustay_id)
     for table, table_rows in rows.items():
-        writers[table.upper()].write(ids, table_rows)
+        writer = writers[table]
+        if anomalies is not None:
+            table_rows = anomalies.inject(table, writer, ids, table_rows)
+        writer.write(ids, table_rows)
     return len(items)
 
 
@@ -523,227 +543,120 @@ _UNITS = {
 }
 
 
-def _write_manifest(data_dir: Path, manifest: dict) -> None:
-    path = Path(data_dir) / MANIFEST_NAME
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
 def read_manifest(data_dir: str | Path) -> dict:
     return json.loads((Path(data_dir) / MANIFEST_NAME).read_text())
 
 
-def _preview_windows(data_dir: Path) -> dict:
-    """First stays likely to enter the cohort (adult, stay > 48h).
-
-    Used only to decide which injected anomalies are verifiable downstream;
-    injection itself applies to every row.
-    """
-    stays, _ = load_table(table_path(data_dir, "icustays"), ICUSTAYS)
-    patients, _ = load_table(table_path(data_dir, "patients"), PATIENTS)
-    dob = {p.subject_id: p.dob for p in patients}
-    windows: dict[int, tuple[int, datetime]] = {}
-    hadm_windows: dict[int, tuple[int, datetime]] = {}
-    for stay in first_stay_per_patient(stays):
-        birth = dob.get(stay.subject_id)
-        if birth is None or birth > stay.intime:
-            continue
-        if not apply_inclusion(stay, compute_age(birth, stay.intime)):
-            continue
-        windows[stay.icustay_id] = (stay.icustay_id, stay.intime)
-        hadm_windows[stay.hadm_id] = (stay.icustay_id, stay.intime)
-    return {"icustay": windows, "hadm": hadm_windows}
-
-
-# Rows per block of an event table in inject_anomalies: enough to amortise
-# one vectorised seed derivation, small enough that holding the block's rows
-# adds under 1 MB to the synth process's peak memory.
-_INJECT_BLOCK_ROWS = 1024
+# Fahrenheit temperature items and their Celsius twins.
+_CELSIUS_ITEMS = {678: 676, 223761: 223762}
 # Most coins one row can draw: Celsius, error text, duplicate, jitter.
 _INJECT_COINS = 4
 
 
-def _keyed_rows(reader, i_row: int, seed: int, table_name: str):
-    """Yield (row, row id, first coins of the row's keyed stream) per row.
+class _Anomalies:
+    """The anomalies of one ``generate`` pass and their manifest entries."""
 
-    Rows are read in fixed blocks, and each block's coins come from one
-    vectorised seed derivation over its row ids.
-    """
-    while block := list(islice(reader, _INJECT_BLOCK_ROWS)):
-        row_ids = [int(row[i_row]) for row in block]
-        coins = leading_uniforms(
-            derive_seed_many(seed, "inject", table_name, keys=row_ids),
-            _INJECT_COINS,
-        )
-        yield from zip(block, row_ids, coins.tolist())
+    def __init__(self, config: SynthConfig, registry: ItemRegistry):
+        self.config = config
+        self.registry = registry
+        self.by_icustay: dict[int, StayRow] = {}
+        self.by_hadm: dict[int, StayRow] = {}
+        # (stay, channel) -> [start hour, length in hours, rows removed]
+        self.spans: dict[tuple[int, int], list[int]] = {}
+        self.injections = {"celsius": [], "error_text": [], "duplicate": []}
+
+    def admit(self, stays: list[StayRow], dob: datetime) -> None:
+        """Take one patient's stays and birth date as the tables hold them:
+        keep the stay expected to enter the cohort and draw its spans."""
+        (first,) = first_stay_per_patient(stays)
+        self.by_icustay, self.by_hadm = {}, {}
+        if dob > first.intime or not apply_inclusion(
+                first, compute_age(dob, first.intime)):
+            return
+        self.by_icustay[first.icustay_id] = self.by_hadm[first.hadm_id] = first
+        for channel in range(N_CHANNELS):
+            rng = SplitMix64(derive_seed(self.config.seed, "inject", "span",
+                                         first.icustay_id, channel))
+            if rng.uniform() < self.config.missing_span_rate:
+                self.spans[(first.icustay_id, channel)] = [
+                    rng.randbelow(40), 4 + rng.randbelow(9), 0]
+
+    def inject(self, table: str, writer: _TableWriter, ids: tuple,
+               rows: list[tuple]) -> list[Optional[tuple]]:
+        """One stay's rows of one table as written: None for a row in a
+        missing span; each duplicate is held for the table's end."""
+        config = self.config
+        first_id = writer.last_id + 1
+        coins = leading_uniforms(derive_seed_many(
+            config.seed, "inject", table,
+            keys=np.arange(first_id, first_id + len(rows))), _INJECT_COINS)
+        icustay_id = ids[2] if "ICUSTAY_ID" in TABLES[table] else None
+        out: list[Optional[tuple]] = []
+        for row_id, (item, charttime, value, valuenum, unit, when), coin in zip(
+                count(first_id), rows, coins.tolist()):
+            channel, subrole = self.registry.entries[item]
+            channel = channel.channel_index
+            stay, minute = attribute_event(icustay_id, ids[1], when,
+                                           self.by_icustay, self.by_hadm)
+            if minute is not None:
+                span = self.spans.get((stay.icustay_id, channel))
+                if span and span[0] <= minute // 60 < span[0] + span[1]:
+                    span[2] += 1
+                    out.append(None)
+                    continue
+            coin = iter(coin)
+            fired = {}
+            if subrole == "temp_f" and next(coin) < config.celsius_rate:
+                fahrenheit = float(value)
+                celsius = round((fahrenheit - 32.0) * 5.0 / 9.0, 1)
+                item, unit = _CELSIUS_ITEMS[item], "?C"
+                value = valuenum = f"{celsius:.1f}"
+                fired["celsius"] = {"fahrenheit": fahrenheit,
+                                    "celsius": celsius}
+            elif next(coin) < config.error_text_rate:
+                value, valuenum = "ERROR", ""
+                fired["error_text"] = {"channel": channel}
+            if "error_text" not in fired and next(coin) < config.duplicate_rate:
+                jitter = 0.97 + 0.06 * next(coin)  # stays plausible
+                copy = f"{round(float(value) * jitter, 1):.1f}"
+                # Shift a few minutes without leaving the hour bucket, which
+                # is measured from the stay's admission minute.
+                shift = -7 if minute is not None and minute % 60 >= 53 else 7
+                writer.hold(ids, (item, _fmt_ts(when + timedelta(minutes=shift)),
+                                  copy, copy, unit))
+                fired["duplicate"] = {"channel": channel}
+            for kind, fields in fired.items():
+                if minute is not None:
+                    self.injections[kind].append({
+                        "table": table, "row_id": row_id,
+                        "stay": stay.icustay_id, "hour": minute // 60, **fields})
+            out.append((item, charttime, value, valuenum, unit))
+        return out
+
+    def manifest_entries(self) -> dict:
+        """Entries by kind; tables in file order, which is by name, and each
+        table's entries by row id."""
+        for entries in self.injections.values():
+            entries.sort(key=itemgetter("table", "row_id"))
+        return {**self.injections, "missing_span": [
+            {"stay": stay, "channel": channel, "start_hour": start,
+             "length": length, "removed": removed}
+            for (stay, channel), (start, length, removed)
+            in sorted(self.spans.items()) if removed
+        ]}
 
 
 def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
-    """Dirty the generated event files in place and record a manifest.
+    """The injections ``generate`` recorded in ``data_dir``'s manifest.
 
-    Applies, per event row and keyed by (seed, table, row id): Celsius
-    conversion of Fahrenheit temperature rows, "ERROR" value texts, and
-    duplicated same-hour measurements; plus removal of whole (stay, channel)
-    hour spans. Entries are recorded only when the row lands inside the 48h
-    window of a stay expected to enter the cohort, so every manifest entry
-    is verifiable against the featurized output.
-
-    Rows are processed in blocks of about a thousand. Each block's coins
-    come from one vectorised derivation over its row ids, and a row's coins
-    are the first draws of ``SplitMix64(derive_seed(seed, "inject", table,
-    row_id))``, consumed in the same order as a per-row stream would, so the
-    output does not depend on the block size.
+    Reads no event table and writes nothing; a manifest of another config
+    is a ConfigError. Kept only as the step ``bench/traced.py`` times after
+    ``generate``: ROADMAP item 1 (one span timer) deletes it with that caller.
     """
-    config.validate()
-    data_dir = Path(data_dir)
-    registry = load_registry()
-    windows = _preview_windows(data_dir)
-    stay_windows, hadm_windows = windows["icustay"], windows["hadm"]
-
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    span_removed: dict[tuple[int, int], int] = {}
-    if config.missing_span_rate > 0:
-        for stay_id, _ in stay_windows.values():
-            for channel_idx in range(N_CHANNELS):
-                rng = SplitMix64(
-                    derive_seed(config.seed, "inject", "span", stay_id, channel_idx)
-                )
-                if rng.uniform() < config.missing_span_rate:
-                    start = rng.randbelow(40)
-                    length = 4 + rng.randbelow(9)
-                    spans[(stay_id, channel_idx)] = (start, length)
-
-    injections = {"celsius": [], "error_text": [], "duplicate": [],
-                  "missing_span": []}
-    temp_swap = {678: 676, 223761: 223762}
-
-    for table_name in ("CHARTEVENTS", "LABEVENTS", "OUTPUTEVENTS"):
-        path = data_dir / f"{table_name}.csv"
-        tmp = path.with_suffix(".tmp")
-        appended: list[list[str]] = []
-        with open(path, newline="") as src, open(tmp, "w", newline="") as dst:
-            reader = csv.reader(src)
-            writer = csv.writer(dst, lineterminator="\n")
-            header = next(reader)
-            writer.writerow(header)
-            idx = {name: i for i, name in enumerate(header)}
-            i_row, i_item, i_hadm = idx["ROW_ID"], idx["ITEMID"], idx["HADM_ID"]
-            i_time, i_value = idx["CHARTTIME"], idx["VALUE"]
-            i_stay = idx.get("ICUSTAY_ID")
-            i_valuenum = idx.get("VALUENUM")
-            i_uom = idx.get("VALUEUOM")
-            max_row_id = 0
-            for row, row_id, coins in _keyed_rows(reader, i_row, config.seed,
-                                                  table_name):
-                max_row_id = max(max_row_id, row_id)
-                item_id = int(row[i_item])
-                resolved = resolve_item(registry, item_id)
-                stay_hour: Optional[tuple[int, int]] = None
-                charttime: Optional[datetime] = None
-                if resolved is not None:
-                    key = None
-                    if i_stay is not None and row[i_stay]:
-                        key = stay_windows.get(int(row[i_stay]))
-                    elif row[i_hadm]:
-                        key = hadm_windows.get(int(row[i_hadm]))
-                    if key is not None:
-                        stay_id, intime = key
-                        charttime = parse_timestamp(row[i_time])
-                        minute = int((charttime - intime).total_seconds()
-                                     // 60)
-                        if 0 <= minute < WINDOW_MINUTES:
-                            stay_hour = (stay_id, minute // 60)
-
-                channel_idx = resolved[0].channel_index if resolved else None
-                subrole = resolved[1] if resolved else None
-
-                # Whole-span removal first: the row simply disappears.
-                if stay_hour is not None and channel_idx is not None:
-                    span = spans.get((stay_hour[0], channel_idx))
-                    if span and span[0] <= stay_hour[1] < span[0] + span[1]:
-                        key = (stay_hour[0], channel_idx)
-                        span_removed[key] = span_removed.get(key, 0) + 1
-                        continue
-
-                coin = iter(coins)
-                value_text = row[i_value]
-                is_temp_f = subrole == "temp_f"
-                converted = False
-                if is_temp_f and next(coin) < config.celsius_rate:
-                    fahrenheit = float(value_text)
-                    celsius = round((fahrenheit - 32.0) * 5.0 / 9.0, 1)
-                    row[i_item] = str(temp_swap[item_id])
-                    row[i_value] = f"{celsius:.1f}"
-                    if i_valuenum is not None:
-                        row[i_valuenum] = f"{celsius:.1f}"
-                    if i_uom is not None:
-                        row[i_uom] = "?C"
-                    converted = True
-                    if stay_hour is not None:
-                        injections["celsius"].append({
-                            "table": table_name, "row_id": row_id,
-                            "stay": stay_hour[0], "hour": stay_hour[1],
-                            "fahrenheit": fahrenheit, "celsius": celsius,
-                        })
-                errored = False
-                if (not converted and channel_idx is not None
-                        and next(coin) < config.error_text_rate):
-                    row[i_value] = "ERROR"
-                    if i_valuenum is not None:
-                        row[i_valuenum] = ""
-                    errored = True
-                    if stay_hour is not None:
-                        injections["error_text"].append({
-                            "table": table_name, "row_id": row_id,
-                            "stay": stay_hour[0], "channel": channel_idx,
-                            "hour": stay_hour[1],
-                        })
-                if (not errored and channel_idx is not None
-                        and next(coin) < config.duplicate_rate):
-                    dup = list(row)
-                    base_value = float(row[i_value])
-                    jitter = 0.97 + 0.06 * next(coin)  # stays plausible
-                    new_value = round(base_value * jitter, 1)
-                    dup[i_value] = f"{new_value:.1f}"
-                    if i_valuenum is not None:
-                        dup[i_valuenum] = f"{new_value:.1f}"
-                    if charttime is None:
-                        charttime = parse_timestamp(row[i_time])
-                    # Shift a few minutes without leaving the hour bucket,
-                    # which is measured from the stay's admission minute.
-                    if stay_hour is not None:
-                        offset_in_hour = minute % 60
-                        shift = 7 if offset_in_hour < 53 else -7
-                    else:
-                        shift = 7
-                    dup[i_time] = _fmt_ts(charttime + timedelta(minutes=shift))
-                    appended.append(dup)
-                    if stay_hour is not None:
-                        injections["duplicate"].append({
-                            "table": table_name, "row_id": row_id,
-                            "stay": stay_hour[0], "channel": channel_idx,
-                            "hour": stay_hour[1],
-                        })
-                writer.writerow(row)
-            for extra in appended:
-                max_row_id += 1
-                extra[i_row] = str(max_row_id)
-                writer.writerow(extra)
-        os.replace(tmp, path)
-
-    for (stay_id, channel_idx), (start, length) in sorted(spans.items()):
-        removed = span_removed.get((stay_id, channel_idx), 0)
-        if removed:
-            injections["missing_span"].append({
-                "stay": stay_id, "channel": channel_idx,
-                "start_hour": start, "length": length, "removed": removed,
-            })
-
     manifest = read_manifest(data_dir)
-    manifest["injections"] = injections
-    _write_manifest(data_dir, manifest)
-    return injections
+    if manifest["config"] != asdict(config):
+        raise ConfigError(f"{data_dir}: manifest of another synth config")
+    return manifest["injections"]
 
 
 @dataclass
@@ -803,17 +716,12 @@ def describe(data_dir: str | Path) -> DescribeSummary:
         return summary
 
     first_admit: dict[int, datetime] = {}
-    died: set[int] = set()
     for a in admissions:
-        if a.subject_id not in first_admit or a.admittime < first_admit[a.subject_id]:
-            first_admit[a.subject_id] = a.admittime
-        if a.deathtime is not None:
-            died.add(a.subject_id)
-    first_stay_time: dict[int, datetime] = {}
-    for s in stays:
-        if (s.subject_id not in first_stay_time
-                or s.intime < first_stay_time[s.subject_id]):
-            first_stay_time[s.subject_id] = s.intime
+        first_admit[a.subject_id] = min(
+            a.admittime, first_admit.get(a.subject_id, a.admittime))
+    died = {a.subject_id for a in admissions if a.deathtime is not None}
+    first_stay_time = {s.subject_id: s.intime
+                       for s in first_stay_per_patient(stays)}
 
     adult_ages: dict[int, float] = {}
     for p in patients:
@@ -826,30 +734,21 @@ def describe(data_dir: str | Path) -> DescribeSummary:
     summary.adult_patients = len(adult_ages)
     if adult_ages:
         summary.median_age_adult = float(np.median(list(adult_ages.values())))
-        summary.mortality_adult = (
-            sum(1 for sid in adult_ages if sid in died) / len(adult_ages)
-        )
+        summary.mortality_adult = len(died & adult_ages.keys()) / len(adult_ages)
 
     adult_stays = [s for s in stays if s.subject_id in adult_ages]
-    summary.icu_stays_adult = len(adult_stays)
-    los_days = [
-        (s.outtime - s.intime).total_seconds() / 86400.0 for s in adult_stays
-    ]
-    long_stays = [
-        s for s in adult_stays
-        if s.outtime - s.intime >= timedelta(hours=4)
-    ]
-    summary.long_icu_stays_adult = len(long_stays)
+    long_stays = [s for s in adult_stays
+                  if s.outtime - s.intime >= timedelta(hours=4)]
     first_long = first_stay_per_patient(long_stays)
+    summary.icu_stays_adult = len(adult_stays)
+    summary.long_icu_stays_adult = len(long_stays)
     summary.first_long_icu_stays_adult = len(first_long)
-    if los_days:
-        summary.avg_los_days = float(np.mean(los_days))
-    if long_stays:
-        summary.avg_los_long_days = float(np.mean(
-            [(s.outtime - s.intime).total_seconds() / 86400.0 for s in long_stays]
-        ))
-    if first_long:
-        summary.avg_los_first_long_days = float(np.mean(
-            [(s.outtime - s.intime).total_seconds() / 86400.0 for s in first_long]
-        ))
+    summary.avg_los_days = _mean_los_days(adult_stays)
+    summary.avg_los_long_days = _mean_los_days(long_stays)
+    summary.avg_los_first_long_days = _mean_los_days(first_long)
     return summary
+
+
+def _mean_los_days(stays: Sequence[StayRow]) -> float:
+    days = [(s.outtime - s.intime).total_seconds() / 86400.0 for s in stays]
+    return float(np.mean(days)) if days else 0.0

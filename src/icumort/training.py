@@ -93,7 +93,9 @@ class EarlyStopper:
 
     @property
     def should_stop(self) -> bool:
-        return self.bad_epochs >= self.patience
+        # Never right after an improving epoch: patience 0 stops at the first
+        # epoch that does not improve.
+        return self.bad_epochs >= max(self.patience, 1)
 
 
 def train(

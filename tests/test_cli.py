@@ -334,8 +334,9 @@ def test_synth_log_counts_the_data_rows_of_every_table(tmp_path, rates):
     (["train", "--learning-rate", "nan"], "learning_rate must be finite and"),
     (["train", "--learning-rate", "inf"], "learning_rate must be finite and"),
     (["train", "--patience", "-1"], "patience must be nonnegative"),
+    (["evaluate", "--threshold", "nan"], "threshold must be in [0, 1]"),
 ], ids=["effect-nan", "age-min-nan", "age-max-inf", "lr-negative", "lr-nan",
-        "lr-inf", "patience-negative"])
+        "lr-inf", "patience-negative", "threshold-nan"])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     where = (["--out", str(out), "--synth-patients", "20", "--signal",

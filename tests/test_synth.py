@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import io
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
 from icumort import synth
+from icumort.cohort import DAYS_PER_YEAR, build_cohort
 from icumort.errors import ConfigError
-from icumort.items import load_registry
+from icumort.featurize import collect_stay_events
+from icumort.items import CHANNEL_BY_NAME, load_registry
 from icumort.synth import (
     SynthConfig,
     describe,
@@ -15,6 +18,15 @@ from icumort.synth import (
     inject_anomalies,
     read_manifest,
     sample_patients,
+)
+from icumort.tables import (
+    ADMISSIONS,
+    DIAGNOSES_ICD,
+    ICUSTAYS,
+    PATIENTS,
+    SERVICES,
+    load_table,
+    table_path,
 )
 
 EVENT_TABLES = ("CHARTEVENTS", "LABEVENTS", "OUTPUTEVENTS")
@@ -174,6 +186,11 @@ class TestInjection:
             "celsius", "error_text", "duplicate", "missing_span",
         }
 
+    def test_manifest_of_another_config_is_rejected(self, tmp_path):
+        generate(_clean_config(n=20, celsius_rate=0.5), tmp_path)
+        with pytest.raises(ConfigError, match="another synth config"):
+            inject_anomalies(tmp_path, _clean_config(n=20, celsius_rate=0.4))
+
     def test_injection_deterministic(self, tmp_path):
         config = _clean_config(n=30, celsius_rate=0.4, error_text_rate=0.05,
                                duplicate_rate=0.05, missing_span_rate=0.2)
@@ -257,9 +274,9 @@ class TestDescribe:
         assert "adult_patients" in text
 
 
-# sha256 of everything generate + inject_anomalies write for one small config
-# at the default anomaly rates. Speed-ups to either step must keep these
-# bytes; a deliberate change to the generated data updates them.
+# sha256 of everything generate writes for one small config at the default
+# anomaly rates. Speed-ups must keep these bytes; a deliberate change to the
+# generated data updates them.
 _PINNED_SHA256 = {
     "ADMISSIONS.csv": "e86c898be74d4988a5fcde12d8ea7abca916630bd0793057be4fc01d18ec984e",
     "CHARTEVENTS.csv": "80c88dd2033466024a27e37d798564e1663610da1a26a969acc4fac921464f9a",
@@ -273,11 +290,7 @@ _PINNED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("block_rows", [None, 7])
-def test_generated_and_injected_bytes_are_pinned(tmp_path, monkeypatch,
-                                                 block_rows):
-    if block_rows is not None:  # the bytes must not depend on the block size
-        monkeypatch.setattr(synth, "_INJECT_BLOCK_ROWS", block_rows)
+def test_generated_and_injected_bytes_are_pinned(tmp_path):
     config = SynthConfig(n_patients=40, seed=11)
     generate(config, tmp_path)
     injections = inject_anomalies(tmp_path, config)
@@ -342,7 +355,7 @@ def test_trend_config_bytes_are_pinned(tmp_path, variant):
 
 @pytest.mark.parametrize("inject", [False, True], ids=["clean", "injected"])
 def test_no_generated_field_needs_quoting(tmp_path, inject):
-    config = _trend_config()
+    config = _trend_config(**({} if inject else _CLEAN_RATES))
     generate(config, tmp_path)
     if inject:
         inject_anomalies(tmp_path, config)
@@ -353,3 +366,100 @@ def test_no_generated_field_needs_quoting(tmp_path, inject):
         out = io.StringIO(newline="")
         csv.writer(out, lineterminator="\n").writerows(rows)
         assert out.getvalue().encode() == path.read_bytes(), name
+
+
+def _readmission_patients(real_sample_patients):
+    """Patient 10001 aged 50, with a 49.5 h first stay and, 6 h after it, a
+    30 h second stay; every stay id renumbered in emission order."""
+    def sample(config):
+        profiles = real_sample_patients(config)
+        first = profiles[0]
+        intime = first.stays[0].intime
+        first.age = 50.0
+        first.dob = intime - timedelta(days=50.0 * DAYS_PER_YEAR)
+        first.stays = [synth._StaySpec(0, intime, 49.5),
+                       synth._StaySpec(0, intime + timedelta(hours=55.5), 30.0)]
+        stays = [stay for p in profiles for stay in p.stays]
+        for stay_id, stay in enumerate(stays, start=200001):
+            stay.icustay_id = stay_id
+        return profiles
+    return sample
+
+
+def _featurize_attribution(data_dir: Path, entries, scratch: Path):
+    """(stay, channel, hour) that featurization gives each (table, row id).
+
+    The rows named by ``entries`` are copied alone into ``scratch``, each
+    with its index as its value, and run through ``collect_stay_events``;
+    a row it does not attribute is absent from the result.
+    """
+    marker = {key: i for i, key in enumerate(sorted(set(entries)))}
+    scratch.mkdir()
+    for name in EVENT_TABLES:
+        with open(data_dir / f"{name}.csv", newline="") as src, \
+                open(scratch / f"{name}.csv", "w", newline="") as dst:
+            reader = csv.DictReader(src)
+            writer = csv.DictWriter(dst, reader.fieldnames)
+            writer.writeheader()
+            for row in reader:
+                i = marker.get((name, int(row["ROW_ID"])))
+                if i is not None:
+                    row["VALUE"] = str(i)
+                    if "VALUENUM" in row:
+                        row["VALUENUM"] = str(i)
+                    writer.writerow(row)
+    found, _ = collect_stay_events(scratch, _cohort_of(data_dir), load_registry())
+    keys = {i: key for key, i in marker.items()}
+    return {keys[int(value)]: (stay, channel, minute // 60)
+            for stay, channels in found.items()
+            for channel, events in enumerate(channels)
+            for minute, value, _ in events}
+
+
+def _cohort_of(data_dir: Path):
+    loaded = [load_table(table_path(data_dir, name), schema)[0]
+              for name, schema in (("icustays", ICUSTAYS), ("patients", PATIENTS),
+                                   ("admissions", ADMISSIONS),
+                                   ("diagnoses_icd", DIAGNOSES_ICD),
+                                   ("services", SERVICES))]
+    return build_cohort(*loaded)[0]
+
+
+_READMISSION_RATES = dict(celsius_rate=0.0, error_text_rate=0.0,
+                          duplicate_rate=1.0, missing_span_rate=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["trend", "readmission"])
+def test_every_manifest_entry_matches_featurize(tmp_path, monkeypatch,
+                                                fixture):
+    if fixture == "trend":
+        config = _trend_config()
+    else:
+        monkeypatch.setattr(synth, "sample_patients",
+                            _readmission_patients(synth.sample_patients))
+        config = SynthConfig(n_patients=5, seed=15, **_READMISSION_RATES)
+    data = tmp_path / "data"
+    generate(config, data)
+    injections = inject_anomalies(data, config)
+    temp_f = CHANNEL_BY_NAME["TempF"].channel_index
+    cells = [((e["table"], e["row_id"]),
+              (e["stay"], e.get("channel", temp_f), e["hour"]))
+             for kind in ("celsius", "error_text", "duplicate")
+             for e in injections[kind]]
+    assert cells
+    attributed = _featurize_attribution(data, [key for key, _ in cells],
+                                        tmp_path / "rows")
+    for key, cell in cells:
+        assert attributed.get(key) == cell, key
+    if fixture == "readmission":  # a second stay's lab, through hadm_id
+        assert (("LABEVENTS", 54), (200001, 9, 45)) in cells
+
+    events, _ = collect_stay_events(data, _cohort_of(data), load_registry())
+    for span in injections["missing_span"]:
+        assert span["removed"] > 0
+        lo = span["start_hour"] * 60
+        hi = lo + span["length"] * 60
+        minutes = [m for m, _, _ in events[span["stay"]][span["channel"]]]
+        assert not [m for m in minutes if lo <= m < hi], span
+    if fixture == "trend":
+        assert injections["missing_span"]

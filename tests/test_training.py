@@ -30,6 +30,14 @@ class TestEarlyStopper:
         assert stopper.best_epoch == 2
         assert stopper.best == 0.6
 
+    def test_zero_patience_stops_after_the_first_worse_epoch(self):
+        stopper = EarlyStopper(patience=0, mode="min")
+        stops = []
+        for epoch, value in enumerate([1.0, 0.5, 0.7], start=1):
+            stopper.update(value, epoch)
+            stops.append(stopper.should_stop)
+        assert stops == [False, False, True]
+
     def test_max_mode(self):
         stopper = EarlyStopper(patience=2, mode="max")
         assert stopper.update(0.6, 1) is True
