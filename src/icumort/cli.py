@@ -8,38 +8,39 @@ individual stages. Errors exit nonzero with one ``error: ...`` line on
 stderr.
 
 Option defaults live in one place each: the synth and train options, with
-their defaults, are the fields of ``synth.SynthConfig`` and
-``training.TrainConfig``; the rest are in ``_DEFAULTS`` below. An option's
+their defaults, are the fields of ``config.SynthConfig`` and
+``config.TrainConfig``; the rest are in ``_DEFAULTS`` below. An option's
 type follows from its default (a bool is a switch; no default is a path,
 or an integer for ``seed`` and ``synth_patients``). ``--config FILE`` reads
 ``key=value`` lines (dashes or underscores in keys, ``#`` comment lines,
 ``true``/``false`` for switches); flags on the command line win over it.
+
+Each stage imports what it runs. At module level this file loads only the
+standard library, ``errors`` and ``config``; every ``stage_*`` function
+imports the modules and numpy it uses. Each stage runs as its own process,
+so ``--help`` and ``cohort`` start without numpy and ``featurize`` loads
+no model module.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import baseline, cohort, featurize, metrics, nn, synth, training
+from .config import SynthConfig, TrainConfig
 from .errors import ConfigError, PipelineError
-from .items import load_registry
-from .seeding import derive_seed
-from .tables import (
-    ADMISSIONS,
-    DIAGNOSES_ICD,
-    ICUSTAYS,
-    PATIENTS,
-    SERVICES,
-    load_table,
-    table_path,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .metrics import EvalReport
 
 MODEL_LSTM = "LSTM"
 MODEL_LR = "LogisticRegression"
@@ -48,6 +49,9 @@ MODEL_LR = "LogisticRegression"
 def _write_stage_log(work_dir: Path, stage: str, seed, counts: dict,
                      artifacts: list[str], started: float,
                      warnings: list[str] | None = None) -> None:
+    """Write a stage's JSON log; each warning also goes to stderr as one line."""
+    for warning in warnings or ():
+        print(f"warning: {warning}", file=sys.stderr)
     log_dir = work_dir / "logs"
     log_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -70,13 +74,26 @@ def _require(args: dict, *names: str) -> None:
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report a failure to create or write the output at path as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def stage_synth(args: dict) -> None:
+    from . import synth
+    from .seeding import derive_seed
+
     _require(args, "out", "seed", "synth_patients")
     started = time.monotonic()
     out_dir = Path(args["out"])
-    config = _config_from_args(synth.SynthConfig, args,
+    config = _config_from_args(SynthConfig, args,
                                seed=derive_seed(args["seed"], "synth"))
-    counts = synth.generate(config, out_dir)
+    with _writing(out_dir):
+        counts = synth.generate(config, out_dir)
     artifacts = [*sorted(f"{name}.csv" for name in synth.TABLES),
                  synth.MANIFEST_NAME]
     _write_stage_log(out_dir, "synth", args["seed"], counts, artifacts, started)
@@ -85,12 +102,16 @@ def stage_synth(args: dict) -> None:
 
 
 def stage_describe(args: dict) -> None:
+    from . import synth
+
     _require(args, "data")
     summary = synth.describe(args["data"])
     text = summary.to_text()
     print(text)
     if args.get("out"):
-        Path(args["out"]).write_text(text + "\n")
+        out_path = Path(args["out"])
+        with _writing(out_path):
+            out_path.write_text(text + "\n")
 
 
 def _check_dirs(args: dict) -> tuple[Path, Path]:
@@ -98,11 +119,17 @@ def _check_dirs(args: dict) -> tuple[Path, Path]:
     work_dir = Path(args["work"])
     if data_dir.resolve() == work_dir.resolve():
         raise ConfigError("data and work directories must be distinct")
-    work_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(work_dir):
+        work_dir.mkdir(parents=True, exist_ok=True)
     return data_dir, work_dir
 
 
 def stage_cohort(args: dict) -> None:
+    from . import cohort
+    from .seeding import derive_seed
+    from .tables import (ADMISSIONS, DIAGNOSES_ICD, ICUSTAYS, PATIENTS,
+                         SERVICES, load_table, table_path)
+
     _require(args, "data", "work", "seed")
     started = time.monotonic()
     data_dir, work_dir = _check_dirs(args)
@@ -134,14 +161,24 @@ def stage_cohort(args: dict) -> None:
     for name in cohort.SPLITS:
         counts[f"split_{name}"] = sum(1 for v in split.assignments.values()
                                       if v == name)
+    warnings = []
+    if counts["label_flag_disagreements"]:
+        warnings.append(
+            f"expire flag disagreed with death timestamp on "
+            f"{counts['label_flag_disagreements']} admission(s); "
+            f"timestamp took precedence")
     _write_stage_log(work_dir, "cohort", args["seed"], counts,
-                     ["cohort.csv"], started)
+                     ["cohort.csv"], started, warnings)
     print(f"cohort: {counts['included']} of {counts['stays_total']} stays "
           f"included ({counts['split_train']}/{counts['split_val']}/"
           f"{counts['split_test']} train/val/test)")
 
 
 def stage_featurize(args: dict) -> None:
+    from . import cohort, featurize
+    from .items import load_registry
+    from .seeding import derive_seed
+
     _require(args, "data", "work", "seed")
     started = time.monotonic()
     data_dir, work_dir = _check_dirs(args)
@@ -182,6 +219,8 @@ def stage_featurize(args: dict) -> None:
 
 def _split_arrays(tensors, split_by_stay, split: str
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     chosen = [t for t in tensors if split_by_stay[t.stay_id] == split]
     if not chosen:
         raise ConfigError(f"split {split!r} is empty")
@@ -192,10 +231,13 @@ def _split_arrays(tensors, split_by_stay, split: str
 
 
 def stage_train(args: dict) -> None:
+    from . import baseline, featurize, nn, training
+    from .seeding import derive_seed
+
     _require(args, "work", "seed")
     started = time.monotonic()
     work_dir = Path(args["work"])
-    config = _config_from_args(training.TrainConfig, args,
+    config = _config_from_args(TrainConfig, args,
                                seed=derive_seed(args["seed"], "train-stage"))
     config.validate()
     tensors, split_by_stay = featurize.read_features(work_dir)
@@ -228,7 +270,7 @@ def stage_train(args: dict) -> None:
 
 
 def _write_model_manifest(work_dir: Path, args: dict,
-                          config: training.TrainConfig) -> None:
+                          config: TrainConfig) -> None:
     lines = [
         "format ICUM1",
         f"global_seed {args['seed']}",
@@ -246,6 +288,8 @@ def _write_model_manifest(work_dir: Path, args: dict,
 
 
 def stage_evaluate(args: dict) -> None:
+    from . import baseline, cohort, featurize, metrics, nn
+
     _require(args, "work")
     started = time.monotonic()
     work_dir = Path(args["work"])
@@ -256,7 +300,7 @@ def stage_evaluate(args: dict) -> None:
     model = nn.load_checkpoint(work_dir / "lstm_checkpoint.bin")
     lr_model = baseline.load_lr(work_dir / "logreg_checkpoint.txt")
 
-    reports: list[tuple[str, str, metrics.EvalReport]] = []
+    reports: list[tuple[str, str, EvalReport]] = []
     artifacts = ["metrics_report.csv", "model_comparison.csv"]
     test_scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in cohort.SPLITS:
@@ -285,20 +329,18 @@ def stage_evaluate(args: dict) -> None:
     )
     print(table_text)
     # A one-class split has no AUC; JSON has no nan, so the log says null.
-    counts = {f"{m}_{s}_auc": None if np.isnan(r.auc) else round(r.auc, 6)
+    counts = {f"{m}_{s}_auc": None if math.isnan(r.auc) else round(r.auc, 6)
               for m, s, r in reports}
     warnings = [
         f"{split} split holds one class; its AUC is nan"
         + ("; the test ROC files hold only a header" if split == "test" else "")
         for m, split, r in reports if m == MODEL_LSTM and not r.roc_points
     ]
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     _write_stage_log(work_dir, "evaluate", args.get("seed"), counts,
                      artifacts, started, warnings)
 
 
-def render_comparison(model_reports: list[tuple[str, metrics.EvalReport]],
+def render_comparison(model_reports: list[tuple[str, EvalReport]],
                       csv_path: Path | None = None) -> str:
     """Fixed-order model table (3 decimals) on the test split."""
     if not model_reports:
@@ -371,7 +413,7 @@ _DEFAULTS: dict[str, dict] = {
     "synth": {
         **_COMMON_DEFAULTS,
         "out": None,
-        **_config_defaults(synth.SynthConfig),
+        **_config_defaults(SynthConfig),
     },
     "describe": {"data": None, "out": None, "config": None},
     "cohort": {
@@ -393,7 +435,7 @@ _DEFAULTS: dict[str, dict] = {
     "train": {
         **_COMMON_DEFAULTS,
         "work": None,
-        **_config_defaults(training.TrainConfig),
+        **_config_defaults(TrainConfig),
         "l2_lambda": 1.0,
     },
     "evaluate": {

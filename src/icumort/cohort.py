@@ -10,10 +10,8 @@ stay, with a portable seeded shuffle.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -30,8 +28,6 @@ from .tables import (
     parse_timestamp,
     read_artifact_rows,
 )
-
-log = logging.getLogger(__name__)
 
 DAYS_PER_YEAR = 365.2425
 MIN_AGE_YEARS = 16.0
@@ -136,6 +132,8 @@ def icd9_numeric(code: str) -> Optional[float]:
 
 
 def default_icd9_flags_path() -> Path:
+    from importlib import resources
+
     return Path(str(resources.files("icumort").joinpath("data/icd9_flags.csv")))
 
 
@@ -305,12 +303,6 @@ def build_cohort(
             )
         )
         counts["included"] += 1
-    if counts["label_flag_disagreements"]:
-        log.warning(
-            "expire flag disagreed with death timestamp on %d admission(s); "
-            "timestamp took precedence",
-            counts["label_flag_disagreements"],
-        )
     return cohort, counts
 
 

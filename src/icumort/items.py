@@ -10,7 +10,6 @@ source_table column is informational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -77,6 +76,8 @@ class ItemRegistry:
 
 
 def default_registry_path() -> Path:
+    from importlib import resources
+
     return Path(str(resources.files("icumort").joinpath("data/item_registry.csv")))
 
 

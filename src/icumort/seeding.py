@@ -10,12 +10,11 @@ The generator is splitmix64 (Steele, Lea and Flood's 64-bit mixing step),
 chosen because it is tiny, well documented, and trivially portable. It is
 plain wrapping uint64 arithmetic, so ``derive_seed_many`` and
 ``leading_uniforms`` compute it with numpy for many keys at once, bit for bit
-equal to the scalar functions.
+equal to the scalar functions. Only the vector functions import numpy, so
+a process that uses the scalar half alone never loads it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -53,6 +52,8 @@ def derive_seed(root: int, *parts: int | str) -> int:
 
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # uint64 array arithmetic wraps modulo 2**64, as the scalar masks do.
     z = x + np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -67,6 +68,8 @@ def derive_seed_many(root: int, *prefix: int | str, keys) -> np.ndarray:
     negative keys wrap to their two's complement exactly as the scalar
     ``value & _MASK64`` does. Returns a uint64 array shaped like ``keys``.
     """
+    import numpy as np
+
     keys = np.asarray(keys)
     if keys.size == 0:
         keys = keys.astype(np.int64)
@@ -86,6 +89,8 @@ def leading_uniforms(seeds: np.ndarray, k: int) -> np.ndarray:
     Returns a float64 array of shape ``seeds.shape + (k,)``; entry j is the
     (j+1)-th draw of the stream seeded with that seed.
     """
+    import numpy as np
+
     seeds = np.asarray(seeds, dtype=np.uint64)
     steps = np.arange(k, dtype=np.uint64) * np.uint64(_GOLDEN)
     bits = _splitmix64_array(seeds[..., None] + steps) >> np.uint64(11)

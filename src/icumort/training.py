@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .adam import AdamState, adam_step
+from .config import TrainConfig
 from .errors import ConfigError, TrainingError
 from .metrics import evaluate_scores
 from .nn import (
@@ -27,31 +28,6 @@ from .nn import (
 from .seeding import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 32
-    max_epochs: int = 10
-    patience: int = 3
-    seed: int = 0
-    shuffle: bool = True
-    learning_rate: float = 0.001
-    hidden_size: int = 64
-    monitor: str = "loss"  # "loss" (minimize) or "auc" (maximize)
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be at least 1")
-        if self.patience < 0:
-            raise ConfigError("patience must be nonnegative")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and positive, "
-                              f"got {self.learning_rate}")
-        if self.monitor not in ("loss", "auc"):
-            raise ConfigError(f"unknown early-stopping monitor {self.monitor!r}")
 
 
 @dataclass

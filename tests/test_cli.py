@@ -2,7 +2,11 @@ import argparse
 import csv
 import gzip
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +400,144 @@ def test_bad_raw_input_is_one_error_line(reference_dir, tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert message in err[0]
+
+
+@pytest.mark.parametrize("command", ["synth", "describe", "cohort",
+                                     "featurize"])
+def test_unwritable_output_is_one_error_line(reference_dir, tmp_path, capsys,
+                                             command):
+    # describe writes a file into a missing directory; the others would
+    # create their output directory where a regular file stands.
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    data = ["--data", str(reference_dir / "data")]
+    argv, target = {
+        "synth": (["--out", str(blocker), "--synth-patients", "20", *_SEED],
+                  blocker),
+        "describe": ([*data, "--out", str(tmp_path / "missing" / "d.txt")],
+                     tmp_path / "missing" / "d.txt"),
+        "cohort": ([*data, "--work", str(blocker), *_SEED], blocker),
+        "featurize": ([*data, "--work", str(blocker), *_SEED], blocker),
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
+    assert blocker.read_text() == "kept\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cohort_warns_of_expire_flag_disagreements(reference_dir, tmp_path,
+                                                   capsys):
+    # The reference data holds one admission whose expire flag contradicts
+    # its death timestamp; flipping the flag of an agreeing one makes two.
+    assert _log(reference_dir, "cohort")["counts"][
+        "label_flag_disagreements"] == 1
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    with open(work / "cohort.csv", newline="") as fh:
+        included = {r["hadm_id"] for r in csv.DictReader(fh)}
+    path = work / "data" / "ADMISSIONS.csv"
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    hadm, death, flag = (header.index(c) for c in (
+        "HADM_ID", "DEATHTIME", "HOSPITAL_EXPIRE_FLAG"))
+    row = next(r for r in rows if r[hadm] in included
+               and r[flag] == ("1" if r[death] else "0"))
+    row[flag] = "0" if row[death] else "1"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+    capsys.readouterr()
+    assert main(["cohort", "--data", str(work / "data"), "--work", str(work),
+                 *_SEED]) == 0
+    message = ("expire flag disagreed with death timestamp on 2 admission(s); "
+               "timestamp took precedence")
+    assert capsys.readouterr().err.splitlines() == [f"warning: {message}"]
+    log = _log(work, "cohort")
+    assert log["counts"]["label_flag_disagreements"] == 2
+    assert log["warnings"] == [message]
+
+
+def test_describe_prints_the_summary_and_out_writes_it(reference_dir,
+                                                       tmp_path, capsys):
+    data = reference_dir / "data"
+    capsys.readouterr()
+    assert main(["describe", "--data", str(data)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("patients: 60\n")
+    assert "in_hospital_mortality_adult: " in printed
+    out = tmp_path / "describe.txt"
+    assert main(["describe", "--data", str(data), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    assert out.read_text() == printed  # the summary plus one newline
+
+
+def test_describe_without_patients_table_is_one_error_line(reference_dir,
+                                                           tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(reference_dir / "data", data)
+    (data / "PATIENTS.csv").unlink()
+    capsys.readouterr()
+    assert main(["describe", "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "PATIENTS.csv" in err[0]
+    assert captured.out == ""
+
+
+# Each stage process imports what it runs: the modules that must stay out of
+# sys.modules after main() runs one command in a fresh interpreter.
+_CHILD = """
+import json, sys
+from icumort.cli import main
+try:
+    code = main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+_MODEL_MODULES = {f"icumort.{name}" for name in (
+    "nn", "training", "baseline", "metrics", "adam")}
+_STAGE_MODULES = {"icumort.synth", "icumort.cohort", "icumort.featurize",
+                  "icumort.items", "icumort.tables", "icumort.seeding",
+                  *_MODEL_MODULES}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("--help", {"numpy", *_STAGE_MODULES}),
+    ("synth", _MODEL_MODULES),
+    ("describe", _MODEL_MODULES),
+    ("cohort", {"numpy", "icumort.synth", "icumort.featurize",
+                *_MODEL_MODULES}),
+    ("featurize", {"icumort.synth", *_MODEL_MODULES}),
+    ("train", {"icumort.synth"}),
+    ("evaluate", {"icumort.synth", "icumort.training"}),
+])
+def test_each_command_imports_only_what_it_runs(reference_dir, tmp_path,
+                                                command, absent):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    data = ["--data", str(work / "data")]
+    argv = {
+        "--help": [],
+        "synth": ["--out", str(tmp_path / "new"), "--synth-patients", "20",
+                  *_SEED],
+        "describe": data,
+        "cohort": [*data, "--work", str(work), *_SEED],
+        "featurize": [*data, "--work", str(work), *_SEED],
+        "train": ["--work", str(work), *_SEED, "--max-epochs", "1"],
+        "evaluate": ["--work", str(work), *_SEED],
+    }[command]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps([command, *argv])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "icumort.cli" in loaded
+    assert loaded & absent == set()
