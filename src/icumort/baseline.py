@@ -20,7 +20,6 @@ from .adam import AdamState, adam_step
 from .errors import ConfigError, DataError
 from .nn import sigmoid
 
-N_LR_FEATURES = 20
 MAX_ITERATIONS = 500
 PLATEAU_ITERATIONS = 300
 FINAL_LR_RATIO = 1e-7  # 0.1 decays to 1e-8 across the tail
@@ -116,8 +115,11 @@ def load_lr(path: str | Path) -> LrModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing checkpoint file: expected {path}")
+    try:
+        text = path.read_bytes().decode("utf-8", errors="replace")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     values: dict[str, float] = {}
-    text = path.read_bytes().decode("utf-8", errors="replace")
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:

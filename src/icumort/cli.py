@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import SynthConfig, TrainConfig
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, DataError, PipelineError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,11 +77,14 @@ def _require(args: dict, *names: str) -> None:
 
 @contextmanager
 def _writing(path: Path):
-    """Report a failure to create or write the output at path as a ConfigError."""
+    """Report a failure to create or write an output as a ConfigError that
+    names the file the error names, else path."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(
+            f"cannot write {exc.filename or path}: {exc.strerror or exc}"
+        ) from exc
 
 
 def stage_synth(args: dict) -> None:
@@ -157,10 +161,10 @@ def stage_cohort(args: dict) -> None:
         [s.subject_id for s in included], derive_seed(args["seed"], "split")
     )
     out_path = work_dir / "cohort.csv"
-    cohort.write_cohort_csv(out_path, included, split)
+    with _writing(out_path):
+        cohort.write_cohort_csv(out_path, included, split)
     for name in cohort.SPLITS:
-        counts[f"split_{name}"] = sum(1 for v in split.assignments.values()
-                                      if v == name)
+        counts[f"split_{name}"] = sum(1 for v in split.values() if v == name)
     warnings = []
     if counts["label_flag_disagreements"]:
         warnings.append(
@@ -193,7 +197,6 @@ def stage_featurize(args: dict) -> None:
         standardize=not args["no_standardize"],
     )
     split_by_stay = {s.icustay_id: splits_by_subject[s.subject_id] for s in stays}
-    featurize.write_features(work_dir, tensors, split_by_stay)
     stats_payload = {
         "channel_means": stats.means.tolist(),
         "channel_sds": stats.sds.tolist(),
@@ -204,9 +207,11 @@ def stage_featurize(args: dict) -> None:
         "literal_urine_pick": args["literal_urine_pick"],
         "seed": args["seed"],
     }
-    (work_dir / "population_stats.json").write_text(
-        json.dumps(stats_payload, indent=1, sort_keys=True) + "\n"
-    )
+    with _writing(work_dir):
+        featurize.write_features(work_dir, tensors, split_by_stay)
+        (work_dir / "population_stats.json").write_text(
+            json.dumps(stats_payload, indent=1, sort_keys=True) + "\n"
+        )
     counts["tensors"] = len(tensors)
     _write_stage_log(
         work_dir, "featurize", args["seed"], counts,
@@ -241,6 +246,7 @@ def stage_train(args: dict) -> None:
                                seed=derive_seed(args["seed"], "train-stage"))
     config.validate()
     tensors, split_by_stay = featurize.read_features(work_dir)
+    feature_stats = _read_population_stats(work_dir)
     train_data = _split_arrays(tensors, split_by_stay, "train")
     val_data = _split_arrays(tensors, split_by_stay, "val")
     # Fit the baseline first, so a one-class train split fails before training.
@@ -248,10 +254,12 @@ def stage_train(args: dict) -> None:
                                  train_data[2], lam=args["l2_lambda"])
 
     model, history = training.train(train_data, val_data, config)
-    nn.save_checkpoint(model, work_dir / "lstm_checkpoint.bin")
-    _write_model_manifest(work_dir, args, config)
-    training.write_history_csv(work_dir / "training_history.csv", history)
-    baseline.save_lr(lr_model, work_dir / "logreg_checkpoint.txt", args["seed"])
+    with _writing(work_dir):
+        nn.save_checkpoint(model, work_dir / "lstm_checkpoint.bin")
+        _write_model_manifest(work_dir, args, config, feature_stats)
+        training.write_history_csv(work_dir / "training_history.csv", history)
+        baseline.save_lr(lr_model, work_dir / "logreg_checkpoint.txt",
+                         args["seed"])
 
     counts = {
         "train_stays": int(train_data[2].size),
@@ -269,19 +277,32 @@ def stage_train(args: dict) -> None:
           f"{counts['best_val_loss']:.5f}")
 
 
-def _write_model_manifest(work_dir: Path, args: dict,
-                          config: TrainConfig) -> None:
+def _read_population_stats(work_dir: Path) -> dict:
+    """The featurize stage's population_stats.json; {} where it is absent."""
+    path = work_dir / "population_stats.json"
+    if not path.exists():
+        return {}
+    try:
+        stats = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(stats, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return stats
+
+
+def _write_model_manifest(work_dir: Path, args: dict, config: TrainConfig,
+                          feature_stats: dict) -> None:
     lines = [
         "format ICUM1",
         f"global_seed {args['seed']}",
     ]
     for key, value in sorted(asdict(config).items()):
         lines.append(f"train.{key} {value}")
-    stats_path = work_dir / "population_stats.json"
-    if stats_path.exists():
-        stats = json.loads(stats_path.read_text())
-        for key in sorted(stats):
-            lines.append(f"features.{key} {stats[key]}")
+    for key in sorted(feature_stats):
+        lines.append(f"features.{key} {feature_stats[key]}")
     (work_dir / "lstm_checkpoint.manifest.txt").write_text(
         "\n".join(lines) + "\n"
     )
@@ -316,17 +337,17 @@ def stage_evaluate(args: dict) -> None:
             test_scores[MODEL_LSTM] = (lstm_scores, labels)
             test_scores[MODEL_LR] = (lr_scores, labels)
 
-    metrics.write_report_csv(work_dir / "metrics_report.csv", reports)
-    for name, fname in ((MODEL_LSTM, "roc_lstm_test.csv"),
-                        (MODEL_LR, "roc_logreg_test.csv")):
-        scores, labels = test_scores[name]
-        metrics.write_roc_csv(work_dir / fname, scores, labels)
-        artifacts.append(fname)
-
-    table_text = render_comparison(
-        [(m, r) for m, s, r in reports if s == "test"],
-        work_dir / "model_comparison.csv",
-    )
+    with _writing(work_dir):
+        metrics.write_report_csv(work_dir / "metrics_report.csv", reports)
+        for name, fname in ((MODEL_LSTM, "roc_lstm_test.csv"),
+                            (MODEL_LR, "roc_logreg_test.csv")):
+            scores, labels = test_scores[name]
+            metrics.write_roc_csv(work_dir / fname, scores, labels)
+            artifacts.append(fname)
+        table_text = render_comparison(
+            [(m, r) for m, s, r in reports if s == "test"],
+            work_dir / "model_comparison.csv",
+        )
     print(table_text)
     # A one-class split has no AUC; JSON has no nan, so the log says null.
     counts = {f"{m}_{s}_auc": None if math.isnan(r.auc) else round(r.auc, 6)
@@ -536,16 +557,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
-    command = namespace.command
-    cli_args = {k: v for k, v in vars(namespace).items() if k != "command"}
-    args = dict(_DEFAULTS[command])
     try:
+        namespace = build_parser().parse_args(argv)
+        command = namespace.command
+        cli_args = {k: v for k, v in vars(namespace).items() if k != "command"}
+        args = dict(_DEFAULTS[command])
         if cli_args.get("config"):
             args.update(_parse_config_file(cli_args["config"], _DEFAULTS[command]))
         args.update(cli_args)
         _STAGES[command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of standard output has gone. Send what is still buffered
+        # to /dev/null, so the flush at interpreter exit fails no second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError
 from .seeding import SplitMix64
@@ -65,13 +65,6 @@ class CohortStay:
     hematologic_malignancy: bool
     metastatic_cancer: bool
     label_mortality: bool
-
-
-@dataclass
-class SplitAssignment:
-    assignments: dict[int, str]
-    seed: int
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
 
 def first_stay_per_patient(stays: Iterable[StayRow]) -> list[StayRow]:
@@ -197,7 +190,7 @@ def admission_category(admission_type: str, curr_service: Optional[str],
     return SCHEDULED_SURGICAL if admission_type == "ELECTIVE" else UNSCHEDULED_SURGICAL
 
 
-def split_dataset(subject_ids: Iterable[int], seed: int) -> SplitAssignment:
+def split_dataset(subject_ids: Iterable[int], seed: int) -> dict[int, str]:
     """Assign subjects to train/val/test at 60/20/20, deterministically.
 
     A sorted copy of the id set is shuffled with a seeded splitmix64
@@ -221,7 +214,7 @@ def split_dataset(subject_ids: Iterable[int], seed: int) -> SplitAssignment:
             assignments[sid] = "val"
         else:
             assignments[sid] = "train"
-    return SplitAssignment(assignments=assignments, seed=seed)
+    return assignments
 
 
 def build_cohort(
@@ -313,7 +306,7 @@ _COHORT_HEADER = [
 
 
 def write_cohort_csv(path: str | Path, cohort: Sequence[CohortStay],
-                     split: SplitAssignment) -> None:
+                     split: Mapping[int, str]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COHORT_HEADER)
@@ -329,7 +322,7 @@ def write_cohort_csv(path: str | Path, cohort: Sequence[CohortStay],
                 int(s.hematologic_malignancy),
                 int(s.metastatic_cancer),
                 int(s.label_mortality),
-                split.assignments[s.subject_id],
+                split[s.subject_id],
             ])
 
 

@@ -10,8 +10,9 @@ Cleaning rules:
   * when an hour holds several values of one channel, one is picked with a
     generator keyed by (stay, channel, hour), except urine volumes which are
     summed (they are additive; a flag restores the literal pick);
-  * missing hours are forward-filled, then leading gaps back-filled, and
-    fully unobserved channels fall back to the population mean.
+  * NaN marks an unobserved hour until imputation, which forward-fills
+    missing hours, back-fills leading gaps, and gives fully unobserved
+    channels the population mean.
 
 Population means and standard deviations come from the training split only
 (a flag restores pooling over all splits), and standardization of sequential
@@ -44,7 +45,6 @@ from .tables import parse_table, read_artifact_rows, table_path, EVENT_SCHEMAS
 
 WINDOW_HOURS = 48
 WINDOW_MINUTES = WINDOW_HOURS * 60
-N_STATIC = 7
 STANDARDIZE_EPS = 1e-6
 
 GCS_SUBROLES = ("gcs_verbal", "gcs_motor", "gcs_eyes")
@@ -80,9 +80,8 @@ def to_fahrenheit(value: float, subrole: str) -> float:
     raise ConfigError(f"not a temperature subrole: {subrole!r}")
 
 
-def bin_hourly(events: Iterable[tuple[int, float]], seed: int
-               ) -> list[Optional[float]]:
-    """Reduce (minute, value) events to one value per hour slot.
+def bin_hourly(events: Iterable[tuple[int, float]], seed: int) -> list[float]:
+    """Reduce (minute, value) events to one value per hour slot, NaN if none.
 
     A lone value passes through; several values in one hour are resolved by
     a uniform pick from a generator keyed by (seed, hour), after sorting the
@@ -93,7 +92,7 @@ def bin_hourly(events: Iterable[tuple[int, float]], seed: int
     for minute, value in events:
         if 0 <= minute < WINDOW_MINUTES:
             per_hour[minute // 60].append((minute, value))
-    slots: list[Optional[float]] = [None] * WINDOW_HOURS
+    slots = [math.nan] * WINDOW_HOURS
     for hour, candidates in enumerate(per_hour):
         if not candidates:
             continue
@@ -106,76 +105,54 @@ def bin_hourly(events: Iterable[tuple[int, float]], seed: int
     return slots
 
 
-def bin_hourly_sum(events: Iterable[tuple[int, float]]) -> list[Optional[float]]:
+def bin_hourly_sum(events: Iterable[tuple[int, float]]) -> list[float]:
     """Sum all contributions that fall in each hour slot (volumes add)."""
-    slots: list[Optional[float]] = [None] * WINDOW_HOURS
+    slots = [math.nan] * WINDOW_HOURS
     for minute, value in events:
         if 0 <= minute < WINDOW_MINUTES:
             hour = minute // 60
-            slots[hour] = value if slots[hour] is None else slots[hour] + value
+            slots[hour] = value if math.isnan(slots[hour]) else slots[hour] + value
     return slots
 
 
-def aggregate_gcs(verbal: Sequence[Optional[float]],
-                  motor: Sequence[Optional[float]],
-                  eyes: Sequence[Optional[float]]) -> list[Optional[float]]:
-    """Total coma score per hour; missing whenever any component is missing."""
-    out: list[Optional[float]] = []
-    for v, m, e in zip(verbal, motor, eyes):
-        out.append(v + m + e if None not in (v, m, e) else None)
-    return out
+def impute(hours: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Impute a stay's (48, 13) array channel by channel.
 
-
-def impute(series: Sequence[Optional[float]], population_mean: float
-           ) -> list[float]:
-    """Forward-fill, then back-fill the leading gap, then mean-fill.
-
-    Observed values are never altered. Idempotent: imputing an already dense
-    series returns it unchanged.
+    Forward-fill, then back-fill the leading gap; a channel with no
+    observation takes its population mean. Observed values are never
+    altered. Idempotent: imputing a dense array returns it unchanged.
     """
-    if not math.isfinite(population_mean):
-        raise ConfigError("population mean must be finite")
-    out: list[float] = []
-    last: Optional[float] = None
-    for value in series:
-        if value is not None:
-            last = value
-        out.append(last)  # type: ignore[arg-type]
-    first_observed = next((v for v in series if v is not None), None)
-    if first_observed is None:
-        return [population_mean] * len(out)
-    return [first_observed if v is None else v for v in out]
+    if not np.isfinite(means).all():
+        raise ConfigError("population means must be finite")
+    observed = ~np.isnan(hours)
+    # The hour to copy from: the last observed one so far, else the first.
+    rows = np.arange(WINDOW_HOURS)[:, None]
+    source = np.where(observed, rows, observed.argmax(axis=0))
+    filled = hours[np.maximum.accumulate(source), np.arange(hours.shape[1])]
+    return np.where(observed.any(axis=0), filled, means)
 
 
-def _observed(series: Sequence[Optional[float]]) -> list[float]:
-    return [v for v in series if v is not None]
-
-
-def compute_population_stats(
-    stay_series: Iterable[Sequence[Sequence[Optional[float]]]],
-    ages: Iterable[float],
-) -> PopulationStats:
+def compute_population_stats(hours: np.ndarray, ages: Iterable[float]
+                             ) -> PopulationStats:
     """Per-channel mean/sd over observed (pre-imputation) hourly values.
 
-    ``stay_series`` yields, per stay, the 13 hourly series before imputation.
-    Uses the population standard deviation (ddof 0). A channel with no
-    observation anywhere is a configuration error naming the channel.
+    ``hours`` stacks the (48, 13) arrays of the fitting stays; each channel's
+    non-NaN values are taken in stay-then-hour order. Uses the population
+    standard deviation (ddof 0). A channel with no observation anywhere is a
+    configuration error naming the channel.
     """
-    values: list[list[float]] = [[] for _ in range(N_CHANNELS)]
-    for series in stay_series:
-        for c in range(N_CHANNELS):
-            values[c].extend(_observed(series[c]))
     means = np.zeros(N_CHANNELS)
     sds = np.zeros(N_CHANNELS)
-    for c, obs in enumerate(values):
-        if not obs:
+    for c, channel in enumerate(CHANNELS):
+        column = hours[..., c]
+        observed = column[~np.isnan(column)]
+        if not observed.size:
             raise ConfigError(
-                f"channel {CHANNELS[c].name} has no observed value in the "
+                f"channel {channel.name} has no observed value in the "
                 "training split; cannot compute its population mean"
             )
-        arr = np.asarray(obs, dtype=np.float64)
-        means[c] = arr.mean()
-        sds[c] = arr.std()
+        means[c] = observed.mean()
+        sds[c] = observed.std()
     age_arr = np.asarray(list(ages), dtype=np.float64)
     if age_arr.size == 0:
         raise ConfigError("no ages available for population statistics")
@@ -183,16 +160,6 @@ def compute_population_stats(
         means=means, sds=sds,
         age_mean=float(age_arr.mean()), age_sd=float(age_arr.std()),
     )
-
-
-def standardize_tensor(tensor: FeatureTensor, stats: PopulationStats
-                       ) -> FeatureTensor:
-    """Center/scale sequential channels and age; one-hots and flags pass through."""
-    scale = np.maximum(stats.sds, STANDARDIZE_EPS)
-    seq = (tensor.seq - stats.means) / scale
-    static = tensor.static.copy()
-    static[0] = (static[0] - stats.age_mean) / max(stats.age_sd, STANDARDIZE_EPS)
-    return FeatureTensor(tensor.stay_id, seq, static, tensor.label)
 
 
 def static_vector(stay: CohortStay) -> np.ndarray:
@@ -212,57 +179,38 @@ def static_vector(stay: CohortStay) -> np.ndarray:
 
 
 def assemble_hourly(stay_id: int, stay_events: StayEvents, global_seed: int,
-                    literal_urine_pick: bool = False
-                    ) -> list[list[Optional[float]]]:
-    """Pre-imputation hourly series for all 13 channels of one stay.
+                    literal_urine_pick: bool = False) -> np.ndarray:
+    """Pre-imputation (48, 13) hourly array of one stay, NaN where unobserved.
 
-    Applies unit conversion, the coma-score component sum, the urine
-    summation rule, and the keyed per-hour pick for duplicated measurements.
+    Applies unit conversion, the coma-score component sum (an hour missing
+    any component stays NaN), the urine summation rule, and the keyed
+    per-hour pick for duplicated measurements.
     """
-    series: list[list[Optional[float]]] = []
+    columns: list[list[float]] = []
     for channel in CHANNELS:
         events = stay_events[channel.channel_index]
         base_seed = derive_seed(global_seed, "featurize", stay_id,
                                 channel.channel_index)
         if channel.name == "GCS":
-            components = []
-            for k, subrole in enumerate(GCS_SUBROLES):
-                sub = [(m, v) for m, v, r in events if r == subrole]
-                components.append(bin_hourly(sub, derive_seed(base_seed, k + 1)))
-            series.append(aggregate_gcs(*components))
+            verbal, motor, eyes = (
+                bin_hourly([(m, v) for m, v, r in events if r == subrole],
+                           derive_seed(base_seed, k + 1))
+                for k, subrole in enumerate(GCS_SUBROLES)
+            )
+            columns.append([v + m + e for v, m, e in zip(verbal, motor, eyes)])
         elif channel.name == "TempF":
             converted = [(m, to_fahrenheit(v, r)) for m, v, r in events]
-            series.append(bin_hourly(converted, base_seed))
+            columns.append(bin_hourly(converted, base_seed))
         elif channel.name == "UrineOutput":
             signed = [(m, -v if r == "urine_in_irrigant" else v)
                       for m, v, r in events]
             if literal_urine_pick:
-                series.append(bin_hourly(signed, base_seed))
+                columns.append(bin_hourly(signed, base_seed))
             else:
-                series.append(bin_hourly_sum(signed))
+                columns.append(bin_hourly_sum(signed))
         else:
-            series.append(bin_hourly([(m, v) for m, v, _ in events], base_seed))
-    return series
-
-
-def finish_tensor(stay: CohortStay, series: Sequence[Sequence[Optional[float]]],
-                  stats: PopulationStats, standardize: bool = True
-                  ) -> FeatureTensor:
-    """Impute every channel and assemble the dense tensor for one stay."""
-    seq = np.empty((WINDOW_HOURS, N_CHANNELS), dtype=np.float64)
-    for c in range(N_CHANNELS):
-        seq[:, c] = impute(series[c], float(stats.means[c]))
-    tensor = FeatureTensor(
-        stay_id=stay.icustay_id,
-        seq=seq,
-        static=static_vector(stay),
-        label=int(stay.label_mortality),
-    )
-    if standardize:
-        tensor = standardize_tensor(tensor, stats)
-    if not np.all(np.isfinite(tensor.seq)) or not np.all(np.isfinite(tensor.static)):
-        raise DataError(f"non-finite feature for stay {stay.icustay_id}")
-    return tensor
+            columns.append(bin_hourly([(m, v) for m, v, _ in events], base_seed))
+    return np.array(columns).T
 
 
 def attribute_event(icustay_id: Optional[int], hadm_id: Optional[int],
@@ -358,26 +306,32 @@ def featurize_cohort(
     keyed, so the output is independent of input ordering.
     """
     ordered = sorted(cohort, key=lambda s: s.icustay_id)
-    hourly: dict[int, list[list[Optional[float]]]] = {}
-    for stay in ordered:
-        hourly[stay.icustay_id] = assemble_hourly(
-            stay.icustay_id, events[stay.icustay_id], global_seed,
-            literal_urine_pick,
-        )
-    if literal_means:
-        stat_stays = ordered
-    else:
-        stat_stays = [s for s in ordered if splits[s.subject_id] == "train"]
-    if not stat_stays:
+    hours = np.empty((len(ordered), WINDOW_HOURS, N_CHANNELS))
+    for x, stay in zip(hours, ordered):
+        x[...] = assemble_hourly(stay.icustay_id, events[stay.icustay_id],
+                                 global_seed, literal_urine_pick)
+    fit = np.array([literal_means or splits[s.subject_id] == "train"
+                    for s in ordered], dtype=bool)
+    if not fit.any():
         raise ConfigError("training split is empty; cannot fit population stats")
     stats = compute_population_stats(
-        (hourly[s.icustay_id] for s in stat_stays),
-        (s.age_years for s in stat_stays),
-    )
-    tensors = [
-        finish_tensor(stay, hourly[stay.icustay_id], stats, standardize)
-        for stay in ordered
-    ]
+        hours[fit], (s.age_years for s, f in zip(ordered, fit) if f))
+    # One stay at a time and in place: a whole-stack impute would hold
+    # several more copies of the stack at once.
+    for x in hours:
+        x[...] = impute(x, stats.means)
+    static = np.stack([static_vector(s) for s in ordered])
+    if standardize:
+        hours -= stats.means
+        hours /= np.maximum(stats.sds, STANDARDIZE_EPS)
+        static[:, 0] -= stats.age_mean
+        static[:, 0] /= max(stats.age_sd, STANDARDIZE_EPS)
+    finite = np.isfinite(hours).all(axis=(1, 2)) & np.isfinite(static).all(axis=1)
+    if not finite.all():
+        stay = ordered[int(np.argmin(finite))]
+        raise DataError(f"non-finite feature for stay {stay.icustay_id}")
+    tensors = [FeatureTensor(s.icustay_id, x, v, int(s.label_mortality))
+               for s, x, v in zip(ordered, hours, static)]
     return tensors, stats
 
 

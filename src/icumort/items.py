@@ -3,8 +3,9 @@
 The 13 sequential channels cover the time-varying part of the severity
 feature set. Each channel aggregates one or more raw item ids; the mapping
 ships as a package data file (``data/item_registry.csv``) so corrections do
-not require a code change. Resolution keys on item id alone; the registry's
-source_table column is informational.
+not require a code change. Resolution keys on item id alone, so featurize
+reads an item's rows from any event table; the registry's source_table
+column names the table that synth writes the item's rows to.
 """
 
 from __future__ import annotations
@@ -34,25 +35,24 @@ SOURCE_TABLES = ("chartevents", "labevents", "outputevents")
 class FeatureChannel:
     channel_index: int
     name: str
-    source_table: str
 
 
 # Column order of the hourly feature matrix. Fixed here, never inferred from
 # registry file row order.
 CHANNELS: tuple[FeatureChannel, ...] = (
-    FeatureChannel(0, "GCS", "chartevents"),
-    FeatureChannel(1, "SBP", "chartevents"),
-    FeatureChannel(2, "HeartRate", "chartevents"),
-    FeatureChannel(3, "TempF", "chartevents"),
-    FeatureChannel(4, "PaO2", "labevents"),
-    FeatureChannel(5, "FiO2", "chartevents"),
-    FeatureChannel(6, "UrineOutput", "outputevents"),
-    FeatureChannel(7, "BUN", "labevents"),
-    FeatureChannel(8, "WBC", "labevents"),
-    FeatureChannel(9, "Bicarbonate", "labevents"),
-    FeatureChannel(10, "Sodium", "labevents"),
-    FeatureChannel(11, "Potassium", "labevents"),
-    FeatureChannel(12, "Bilirubin", "labevents"),
+    FeatureChannel(0, "GCS"),
+    FeatureChannel(1, "SBP"),
+    FeatureChannel(2, "HeartRate"),
+    FeatureChannel(3, "TempF"),
+    FeatureChannel(4, "PaO2"),
+    FeatureChannel(5, "FiO2"),
+    FeatureChannel(6, "UrineOutput"),
+    FeatureChannel(7, "BUN"),
+    FeatureChannel(8, "WBC"),
+    FeatureChannel(9, "Bicarbonate"),
+    FeatureChannel(10, "Sodium"),
+    FeatureChannel(11, "Potassium"),
+    FeatureChannel(12, "Bilirubin"),
 )
 
 CHANNEL_BY_NAME = {c.name: c for c in CHANNELS}

@@ -302,7 +302,10 @@ def load_checkpoint(path: str | Path) -> LstmModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing checkpoint file: expected {path}")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     buf = io.BytesIO(blob)
     if buf.read(len(MAGIC)) != MAGIC:
         raise DataError(f"{path}: not a model checkpoint (bad magic)")

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gzip
+import hashlib
 import json
 import os
 import shutil
@@ -19,6 +20,13 @@ _CLEAN = ["--celsius-rate", "0", "--error-text-rate", "0",
 
 def _log(work, stage):
     return json.loads((work / "logs" / f"{stage}_log.json").read_text())
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this icumort."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_cohort_log_counts_rows_of_every_dimension_table(tmp_path):
@@ -205,6 +213,38 @@ def test_config_file_values_match_flags_and_flags_win(reference_run, tmp_path):
     assert main(["run-all", "--out", str(tmp_path / "other"),
                  "--config", str(other), *_RUN]) == 0
     assert _tree(tmp_path / "other") == reference_run
+
+
+# sha256 of the feature artifacts of the reference data in each featurize
+# mode. A refactor of featurization keeps these bytes; a deliberate change
+# to the features updates them.
+_FEATURE_SHA256 = {
+    "default": ([], (
+        "56c44c969ac368397af97d742ae194f87ba77998b58299489e9dc026bebdf152",
+        "ecda8d5957b53736d52aa27d7dfb7049977473569ced0930673799e91ebf051c",
+        "1de0faa1f3990492b7152d706f2067a7a7704c2cd97cc865891612e52db84faf")),
+    "literal": (["--literal-means", "--literal-urine-pick"], (
+        "72f8a5ef51f4be145a63c846512e4ed785191f03911deef7ec6a72931129073b",
+        "a4a2bcc1172a660d0b136af39fc92956f413248c1f1fdcb59f6e266db0be1f9e",
+        "c0cbf1c8e691ef7dba0b4ccd3bafd82308e301e5f80e3b693fa902d577dff37f")),
+    "no-standardize": (["--no-standardize"], (
+        "4f34e3e1a6d9e5725a8e5d720a4b74bdbacc710db2a73bcf1b7fb340ea454f25",
+        "95913d001b744a9f7710dfea6dfa7a49ee0326b4ac9d04d5f746579a790f02b3",
+        "d69136c2cc92f512e456fd670ec9e07a95a9ed9f77c8239d1444db4d28534690")),
+}
+
+
+@pytest.mark.parametrize("mode", list(_FEATURE_SHA256))
+def test_feature_artifacts_keep_their_bytes(reference_dir, tmp_path, mode):
+    flags, pinned = _FEATURE_SHA256[mode]
+    work = tmp_path / "run"
+    work.mkdir()
+    shutil.copy(reference_dir / "cohort.csv", work)
+    assert main(["featurize", "--data", str(reference_dir / "data"),
+                 "--work", str(work), *_SEED, *flags]) == 0
+    names = ("features_seq.csv", "features_static.csv", "population_stats.json")
+    assert tuple(hashlib.sha256((work / name).read_bytes()).hexdigest()
+                 for name in names) == pinned
 
 
 _COMMON = {"seed": (int, None), "config": (str, None)}
@@ -427,6 +467,83 @@ def test_unwritable_output_is_one_error_line(reference_dir, tmp_path, capsys,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("stage, name", [
+    ("cohort", "cohort.csv"),
+    ("featurize", "features_seq.csv"),
+    ("train", "lstm_checkpoint.bin"),
+    ("evaluate", "metrics_report.csv"),
+])
+def test_output_that_is_a_directory_is_one_error_line(reference_dir, tmp_path,
+                                                      capsys, stage, name):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    (work / name).unlink()
+    (work / name).mkdir()
+    data = ["--data", str(work / "data")] if stage in ("cohort",
+                                                       "featurize") else []
+    capsys.readouterr()
+    assert main([stage, *data, "--work", str(work), *_SEED,
+                 *(["--max-epochs", "1"] if stage == "train" else [])]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: cannot write {work / name}: Is a directory"]
+
+
+@pytest.mark.parametrize("name", ["lstm_checkpoint.bin",
+                                  "logreg_checkpoint.txt"])
+def test_evaluate_reads_a_model_directory_as_one_error_line(
+        reference_dir, tmp_path, capsys, name):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    (work / name).unlink()
+    (work / name).mkdir()
+    capsys.readouterr()
+    assert main(["evaluate", "--work", str(work)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: cannot read {work / name}: Is a directory"]
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]", b"\xff\xfe{}", None])
+def test_train_rejects_bad_population_stats_before_training(
+        reference_dir, tmp_path, capsys, content):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    path = work / "population_stats.json"
+    path.unlink()
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    (work / "lstm_checkpoint.bin").unlink()
+    capsys.readouterr()
+    assert main(["train", "--work", str(work), *_SEED,
+                 "--max-epochs", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(path) in err[0]
+    assert not (work / "lstm_checkpoint.bin").exists()
+
+
+def test_closed_standard_output_is_one_error_line(reference_dir):
+    # The reader closes its end of the pipe before the child writes, as
+    # `| head -1` does once it has its line; a reader that closes after
+    # reading one line races the child's last write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "icumort.cli", "describe",
+             "--data", str(reference_dir / "data")],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(),
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "error: standard output was closed"]
+
+
 def test_cohort_warns_of_expire_flag_disagreements(reference_dir, tmp_path,
                                                    capsys):
     # The reference data holds one admission whose expire flag contradicts
@@ -531,12 +648,9 @@ def test_each_command_imports_only_what_it_runs(reference_dir, tmp_path,
         "train": ["--work", str(work), *_SEED, "--max-epochs", "1"],
         "evaluate": ["--work", str(work), *_SEED],
     }[command]
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps([command, *argv])],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "icumort.cli" in loaded

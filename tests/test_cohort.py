@@ -6,7 +6,6 @@ import pytest
 from icumort.cohort import (
     MEDICAL,
     CohortStay,
-    SplitAssignment,
     SCHEDULED_SURGICAL,
     UNSCHEDULED_SURGICAL,
     admission_category,
@@ -159,13 +158,13 @@ class TestSplit:
     def test_floor_ratio_sizes(self):
         split = split_dataset(range(10), seed=1)
         sizes = {name: 0 for name in ("train", "val", "test")}
-        for v in split.assignments.values():
+        for v in split.values():
             sizes[v] += 1
         assert sizes == {"train": 6, "val": 2, "test": 2}
 
     def test_minimum_viable_split(self):
         split = split_dataset(range(5), seed=1)
-        counts = sorted(split.assignments.values())
+        counts = sorted(split.values())
         assert counts.count("train") == 3
         assert counts.count("val") == 1
         assert counts.count("test") == 1
@@ -176,20 +175,20 @@ class TestSplit:
 
     def test_input_order_does_not_matter(self):
         ids = list(range(100, 150))
-        a = split_dataset(ids, seed=9).assignments
-        b = split_dataset(list(reversed(ids)), seed=9).assignments
+        a = split_dataset(ids, seed=9)
+        b = split_dataset(list(reversed(ids)), seed=9)
         assert a == b
 
     def test_different_seed_changes_assignment(self):
         ids = list(range(60))
-        a = split_dataset(ids, seed=1).assignments
-        b = split_dataset(ids, seed=2).assignments
+        a = split_dataset(ids, seed=1)
+        b = split_dataset(ids, seed=2)
         assert a != b
 
     def test_partition_covers_everyone_once(self):
         ids = list(range(37))
         split = split_dataset(ids, seed=4)
-        assert sorted(split.assignments) == ids
+        assert sorted(split) == ids
 
 
 def test_build_cohort_end_to_end_counts():
@@ -236,7 +235,7 @@ def _cohort_lines(tmp_path):
         for i in (1, 2)
     ]
     path = tmp_path / "cohort.csv"
-    write_cohort_csv(path, stays, SplitAssignment({1: "train", 2: "test"}, 0))
+    write_cohort_csv(path, stays, {1: "train", 2: "test"})
     back, splits = read_cohort_csv(path)
     assert back == stays and splits == {1: "train", 2: "test"}
     return path, path.read_text().splitlines()

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from datetime import datetime, timedelta
 
@@ -9,17 +10,15 @@ from icumort.cohort import CohortStay, MEDICAL
 from icumort.errors import ConfigError, DataError
 from icumort.featurize import (
     FeatureTensor,
-    PopulationStats,
-    aggregate_gcs,
     assemble_hourly,
     bin_hourly,
     bin_hourly_sum,
     collect_stay_events,
     compute_population_stats,
-    finish_tensor,
+    featurize_cohort,
     impute,
     read_features,
-    standardize_tensor,
+    static_vector,
     to_fahrenheit,
     write_features,
 )
@@ -28,14 +27,14 @@ from icumort.items import N_CHANNELS, load_registry
 T0 = datetime(2101, 1, 1)
 
 
-def make_stay(stay_id=100, label=False):
+def make_stay(stay_id=100, label=False, age=50.0):
     return CohortStay(
         icustay_id=stay_id,
-        subject_id=1,
+        subject_id=stay_id,
         hadm_id=10,
         intime=T0,
         outtime=T0 + timedelta(hours=72),
-        age_years=50.0,
+        age_years=age,
         admission_category=MEDICAL,
         aids=False,
         hematologic_malignancy=False,
@@ -44,13 +43,8 @@ def make_stay(stay_id=100, label=False):
     )
 
 
-def flat_stats(mean=0.0, sd=1.0):
-    return PopulationStats(
-        means=np.full(N_CHANNELS, mean),
-        sds=np.full(N_CHANNELS, sd),
-        age_mean=50.0,
-        age_sd=10.0,
-    )
+def unobserved():
+    return np.full((48, N_CHANNELS), np.nan)
 
 
 class TestToFahrenheit:
@@ -70,7 +64,7 @@ class TestBinHourly:
     def test_single_event_lands_in_its_hour(self):
         slots = bin_hourly([(3 * 60 + 15, 80.0)], seed=1)
         assert slots[3] == 80.0
-        assert all(s is None for i, s in enumerate(slots) if i != 3)
+        assert all(math.isnan(s) for i, s in enumerate(slots) if i != 3)
 
     def test_duplicate_hour_pick_is_deterministic(self):
         events = [(5 * 60 + 1, 10.0), (5 * 60 + 40, 20.0)]
@@ -85,100 +79,172 @@ class TestBinHourly:
         assert len(picks) > 1
 
     def test_event_at_window_end_is_ignored(self):
-        assert all(v is None for v in bin_hourly([(48 * 60, 1.0)], seed=1))
+        assert all(map(math.isnan, bin_hourly([(48 * 60, 1.0)], seed=1)))
 
     def test_sum_binning_adds_volumes(self):
         slots = bin_hourly_sum([(120, 100.0), (130, 50.0), (300, 30.0)])
         assert slots[2] == 150.0
         assert slots[5] == 30.0
-        assert slots[0] is None
+        assert math.isnan(slots[0])
+
+
+def gcs_hours(verbal, motor, eyes):
+    """The GCS column assembled from {hour: value} events of each component."""
+    stay_events = [[] for _ in range(N_CHANNELS)]
+    for subrole, values in (("gcs_verbal", verbal), ("gcs_motor", motor),
+                            ("gcs_eyes", eyes)):
+        stay_events[0] += [(hour * 60 + 5, value, subrole)
+                           for hour, value in values.items()]
+    return assemble_hourly(1, stay_events, global_seed=3)[:, 0]
 
 
 class TestAggregateGcs:
     def test_full_components_sum(self):
-        v = [5.0] + [None] * 47
-        m = [6.0] + [None] * 47
-        e = [4.0] + [None] * 47
-        assert aggregate_gcs(v, m, e)[0] == 15.0
+        assert gcs_hours({0: 5.0}, {0: 6.0}, {0: 4.0})[0] == 15.0
 
     def test_minimal_score(self):
-        one = [1.0] * 48
-        assert aggregate_gcs(one, one, one) == [3.0] * 48
+        ones = dict.fromkeys(range(48), 1.0)
+        assert list(gcs_hours(ones, ones, ones)) == [3.0] * 48
 
     def test_any_missing_component_blanks_the_hour(self):
-        v = [None, None, 5.0] + [None] * 45
-        m = [6.0, 6.0, 6.0] + [None] * 45
-        e = [4.0, 4.0, 4.0] + [None] * 45
-        out = aggregate_gcs(v, m, e)
-        assert out[0] is None and out[1] is None and out[2] == 15.0
+        out = gcs_hours({2: 5.0}, dict.fromkeys(range(3), 6.0),
+                        dict.fromkeys(range(3), 4.0))
+        assert np.isnan(out[0]) and np.isnan(out[1]) and out[2] == 15.0
+        assert np.isnan(out[3:]).all()
 
 
 class TestImpute:
     def test_forward_then_backward_trace(self):
-        series = [None, 7.0, None, None, 9.0] + [None] * 43
-        expected = [7.0, 7.0, 7.0, 7.0] + [9.0] * 44
-        assert impute(series, population_mean=0.0) == expected
+        hours = unobserved()
+        hours[[1, 4], 2] = [7.0, 9.0]
+        out = impute(hours, np.zeros(N_CHANNELS))
+        assert list(out[:, 2]) == [7.0, 7.0, 7.0, 7.0] + [9.0] * 44
 
     def test_all_missing_takes_population_mean(self):
-        assert impute([None] * 48, 80.0) == [80.0] * 48
+        means = np.arange(N_CHANNELS) + 80.0
+        out = impute(unobserved(), means)
+        assert np.array_equal(out, np.broadcast_to(means, (48, N_CHANNELS)))
 
     def test_fully_observed_unchanged(self):
-        series = [float(i) for i in range(48)]
-        assert impute(series, 0.0) == series
+        hours = np.arange(48.0 * N_CHANNELS).reshape(48, N_CHANNELS)
+        assert np.array_equal(impute(hours, np.zeros(N_CHANNELS)), hours)
 
     def test_idempotent_and_preserves_observations(self):
-        series = [None, 3.0, None, 8.0] + [None] * 44
-        once = impute(series, 5.0)
-        assert impute(once, 5.0) == once
-        assert once[1] == 3.0 and once[3] == 8.0
+        hours = unobserved()
+        hours[[1, 3], 0] = [3.0, 8.0]
+        hours[10, 5] = 2.0
+        once = impute(hours, np.full(N_CHANNELS, 5.0))
+        assert np.array_equal(impute(once, np.full(N_CHANNELS, 5.0)), once)
+        assert once[1, 0] == 3.0 and once[3, 0] == 8.0 and once[10, 5] == 2.0
+        assert not np.isnan(once).any()
+
+    def test_matches_a_loop_reference(self):
+        def reference(column, mean):
+            observed = [v for v in column if not math.isnan(v)]
+            if not observed:
+                return [mean] * len(column)
+            out, last = [], observed[0]
+            for v in column:
+                last = last if math.isnan(v) else v
+                out.append(last)
+            return out
+
+        rng = np.random.default_rng(0)
+        for density in (0.0, 0.05, 0.3, 0.9, 1.0):
+            hours = rng.normal(size=(48, N_CHANNELS))
+            hours[rng.random((48, N_CHANNELS)) >= density] = np.nan
+            means = rng.normal(size=N_CHANNELS)
+            out = impute(hours, means)
+            for c in range(N_CHANNELS):
+                assert list(out[:, c]) == reference(list(hours[:, c]), means[c])
+
+    def test_non_finite_mean_is_an_error(self):
+        with pytest.raises(ConfigError):
+            impute(unobserved(), np.full(N_CHANNELS, np.inf))
 
 
 class TestPopulationStats:
     def test_two_point_channel(self):
-        series = [[[10.0, 20.0] + [None] * 46] + [[1.0] + [None] * 47] * 12]
-        stats = compute_population_stats(series, ages=[40.0])
+        # Two stays, one observation each in channel 0.
+        hours = np.stack([unobserved(), unobserved()])
+        hours[:, 0, 1:] = 1.0
+        hours[0, 0, 0] = 10.0
+        hours[1, 7, 0] = 20.0
+        stats = compute_population_stats(hours, ages=[40.0, 60.0])
         assert stats.means[0] == 15.0
         assert stats.sds[0] == 5.0
+        assert (stats.age_mean, stats.age_sd) == (50.0, 10.0)
 
     def test_single_observation_has_zero_sd(self):
-        series = [[[7.0] + [None] * 47] * 13]
-        stats = compute_population_stats(series, ages=[40.0])
+        hours = unobserved()[None]
+        hours[0, 0] = 7.0
+        stats = compute_population_stats(hours, ages=[40.0])
         assert stats.means[3] == 7.0
         assert stats.sds[3] == 0.0
 
     def test_empty_channel_is_an_error_naming_it(self):
-        series = [[[7.0] + [None] * 47] * 12 + [[None] * 48]]
+        hours = unobserved()[None]
+        hours[0, 0, :12] = 7.0
         with pytest.raises(ConfigError, match="Bilirubin"):
-            compute_population_stats(series, ages=[40.0])
+            compute_population_stats(hours, ages=[40.0])
+
+
+def observing(value):
+    """Stay events that observe every channel once, at hour 0, at value."""
+    stay_events = [[(0, value, "plain")] for _ in range(N_CHANNELS)]
+    stay_events[0] = [(0, value - 2.0, "gcs_verbal"), (0, 1.0, "gcs_motor"),
+                      (0, 1.0, "gcs_eyes")]
+    stay_events[3] = [(0, value, "temp_f")]
+    return stay_events
+
+
+def featurize_values(stays, values, splits, **options):
+    """featurize_cohort over stays that each observe every channel at a value."""
+    events = {s.icustay_id: observing(v) for s, v in zip(stays, values)}
+    splits = {s.subject_id: split for s, split in zip(stays, splits)}
+    return featurize_cohort(stays, splits, events, global_seed=1, **options)
 
 
 class TestStandardize:
     def test_mean_maps_to_zero_and_flags_pass_through(self):
-        stats = flat_stats(mean=4.0, sd=2.0)
-        tensor = FeatureTensor(
-            stay_id=1,
-            seq=np.full((48, 13), 4.0),
-            static=np.array([50.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
-            label=0,
-        )
-        out = standardize_tensor(tensor, stats)
-        assert np.all(out.seq == 0.0)
-        assert out.static[0] == 0.0
-        assert list(out.static[1:]) == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+        stays = [make_stay(101, age=40.0), make_stay(102, age=60.0),
+                 make_stay(103)]
+        tensors, stats = featurize_values(stays, [2.0, 6.0, 4.0],
+                                          ["train", "train", "val"])
+        assert list(stats.means) == [4.0] * N_CHANNELS
+        assert list(stats.sds) == [2.0] * N_CHANNELS
+        low, high, middle = tensors
+        assert np.all(low.seq == -1.0) and np.all(high.seq == 1.0)
+        assert np.all(middle.seq == 0.0)
+        assert [t.static[0] for t in tensors] == [-1.0, 1.0, 0.0]
+        for t in tensors:
+            assert list(t.static[1:]) == [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+
+    def test_unstandardized_tensors_keep_raw_values(self):
+        stays = [make_stay(101, age=40.0), make_stay(102)]
+        tensors, _ = featurize_values(stays, [2.0, 6.0], ["train", "val"],
+                                      standardize=False)
+        assert np.all(tensors[1].seq == 6.0)
+        assert tensors[0].static[0] == 40.0
 
     def test_constant_channel_guard(self):
         # sd 0 channels hold a constant, so entries sit at the mean and the
         # guarded denominator never blows up.
-        stats = flat_stats(mean=9.0, sd=0.0)
-        tensor = FeatureTensor(
-            stay_id=1,
-            seq=np.full((48, 13), 9.0),
-            static=np.array([50.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-            label=0,
-        )
-        out = standardize_tensor(tensor, stats)
-        assert np.all(out.seq == 0.0)
-        assert np.all(np.isfinite(out.seq))
+        stays = [make_stay(101), make_stay(102)]
+        tensors, stats = featurize_values(stays, [9.0, 9.0], ["train", "val"])
+        assert np.all(stats.sds == 0.0)
+        for t in tensors:
+            assert np.all(t.seq == 0.0)
+            assert np.all(np.isfinite(t.seq))
+
+    def test_non_finite_value_is_a_data_error(self):
+        stays = [make_stay(101), make_stay(102)]
+        with pytest.raises(DataError, match="non-finite feature for stay 102"):
+            featurize_values(stays, [9.0, np.inf], ["train", "val"])
+
+    def test_empty_training_split_is_an_error(self):
+        with pytest.raises(ConfigError, match="training split is empty"):
+            featurize_values([make_stay(101)], [9.0], ["val"])
 
 
 _EVENT_HEADER = ["SUBJECT_ID", "HADM_ID", "ICUSTAY_ID", "ITEMID", "CHARTTIME",
@@ -209,14 +275,13 @@ def write_events(data_dir, registry, events):
             writer.writerows(rows)
 
 
-def build_from_csv(data_dir, stay, events, registry, stats, global_seed,
-                   standardize=True):
-    """One stay's tensor by the pipeline's path from event CSVs."""
+def hours_from_csv(data_dir, stay, events, registry, global_seed, mean=0.0):
+    """One stay's imputed hours by the pipeline's path from event CSVs."""
     write_events(data_dir, registry, events)
     bucketed, _ = collect_stay_events(data_dir, [stay], registry)
-    series = assemble_hourly(stay.icustay_id, bucketed[stay.icustay_id],
-                             global_seed)
-    return finish_tensor(stay, series, stats, standardize)
+    hours = assemble_hourly(stay.icustay_id, bucketed[stay.icustay_id],
+                            global_seed)
+    return impute(hours, np.full(N_CHANNELS, mean))
 
 
 @pytest.fixture(scope="module")
@@ -227,12 +292,12 @@ def registry():
 class TestBuildTensor:
     def test_zero_events_gives_population_mean_matrix(self, registry,
                                                       tmp_path):
-        stats = flat_stats(mean=5.0, sd=1.0)
-        tensor = build_from_csv(tmp_path, make_stay(), [], registry, stats,
-                                global_seed=1, standardize=False)
-        assert np.all(tensor.seq == 5.0)
-        assert tensor.static[0] == 50.0
-        assert tensor.static[1:4].sum() == 1.0
+        hours = hours_from_csv(tmp_path, make_stay(), [], registry,
+                               global_seed=1, mean=5.0)
+        assert np.all(hours == 5.0)
+        static = static_vector(make_stay())
+        assert static[0] == 50.0
+        assert static[1:4].sum() == 1.0
 
     def test_golden_hand_traced_matrix(self, registry, tmp_path):
         # Hand-placed events across five channels; everything else stays at
@@ -248,52 +313,49 @@ class TestBuildTensor:
             _event(51006, 10 * 60, 20.0),                 # BUN step change
             _event(51006, 40 * 60, 30.0),
         ]
-        stats = flat_stats(mean=0.0, sd=1.0)
-        tensor = build_from_csv(tmp_path, make_stay(), events, registry,
-                                stats, global_seed=1, standardize=False)
-        assert list(tensor.seq[:, 2]) == [80.0] * 48
-        assert list(tensor.seq[:, 3]) == [98.6] * 48
-        assert list(tensor.seq[:, 0]) == [15.0] * 48
-        assert list(tensor.seq[:, 6]) == [150.0] * 48
-        assert list(tensor.seq[:, 7]) == [20.0] * 40 + [30.0] * 8
+        hours = hours_from_csv(tmp_path, make_stay(), events, registry,
+                               global_seed=1)
+        assert list(hours[:, 2]) == [80.0] * 48
+        assert list(hours[:, 3]) == [98.6] * 48
+        assert list(hours[:, 0]) == [15.0] * 48
+        assert list(hours[:, 6]) == [150.0] * 48
+        assert list(hours[:, 7]) == [20.0] * 40 + [30.0] * 8
         for idle in (1, 4, 5, 8, 9, 10, 11, 12):
-            assert list(tensor.seq[:, idle]) == [0.0] * 48
+            assert list(hours[:, idle]) == [0.0] * 48
 
-    def test_label_passthrough(self, registry, tmp_path):
-        tensor = build_from_csv(tmp_path, make_stay(label=True), [], registry,
-                                flat_stats(), global_seed=1)
-        assert tensor.label == 1
+    def test_label_passthrough(self):
+        stays = [make_stay(101, label=True), make_stay(102)]
+        tensors, _ = featurize_values(stays, [1.0, 2.0], ["train", "val"])
+        assert [(t.stay_id, t.label) for t in tensors] == [(101, 1), (102, 0)]
 
     def test_irrigant_inflow_subtracted(self, registry, tmp_path):
         events = [
             _event(227489, 60, 200.0),  # irrigant/urine out
             _event(227488, 61, 80.0),   # irrigant in
         ]
-        tensor = build_from_csv(tmp_path, make_stay(), events, registry,
-                                flat_stats(), global_seed=1,
-                                standardize=False)
-        assert tensor.seq[1, 6] == 120.0
+        hours = hours_from_csv(tmp_path, make_stay(), events, registry,
+                               global_seed=1)
+        assert hours[1, 6] == 120.0
 
     def test_window_and_stay_filtering(self, registry, tmp_path):
         events = [
             _event(211, 48 * 60, 99.0),           # at window end: ignored
             _event(211, 60, 80.0, stay_id=999),   # other stay: ignored
         ]
-        tensor = build_from_csv(tmp_path, make_stay(), events, registry,
-                                flat_stats(mean=1.0), global_seed=1,
-                                standardize=False)
-        assert np.all(tensor.seq[:, 2] == 1.0)
+        hours = hours_from_csv(tmp_path, make_stay(), events, registry,
+                               global_seed=1, mean=1.0)
+        assert np.all(hours[:, 2] == 1.0)
 
     def test_deterministic_across_runs(self, registry, tmp_path):
         events = [
             _event(211, 5 * 60 + 1, 70.0),
             _event(211, 5 * 60 + 2, 90.0),
         ]
-        a = build_from_csv(tmp_path / "a", make_stay(), events, registry,
-                           flat_stats(), global_seed=42)
-        b = build_from_csv(tmp_path / "b", make_stay(), list(reversed(events)),
-                           registry, flat_stats(), global_seed=42)
-        assert np.array_equal(a.seq, b.seq)
+        a = hours_from_csv(tmp_path / "a", make_stay(), events, registry,
+                           global_seed=42)
+        b = hours_from_csv(tmp_path / "b", make_stay(),
+                           list(reversed(events)), registry, global_seed=42)
+        assert np.array_equal(a, b)
 
 
 _BAD_TIME = _event(211, 60, 80.0)
@@ -342,20 +404,22 @@ def test_assemble_hourly_gcs_partial_components():
         (80, 6.0, "gcs_motor"),
         (90, 4.0, "gcs_eyes"),
     ]
-    series = assemble_hourly(1, stay_events, global_seed=3)
-    assert series[0][0] is None
-    assert series[0][1] == 14.0
+    hours = assemble_hourly(1, stay_events, global_seed=3)
+    assert hours.shape == (48, N_CHANNELS)
+    assert np.isnan(hours[0, 0])
+    assert hours[1, 0] == 14.0
+    assert np.isnan(hours[:, 1:]).all()
+
+
+def constant_tensor(stay_id, label):
+    """A tensor whose hourly values all equal its stay id."""
+    stay = make_stay(stay_id=stay_id, label=label)
+    return FeatureTensor(stay_id, np.full((48, N_CHANNELS), float(stay_id)),
+                         static_vector(stay), int(label))
 
 
 def test_feature_csv_round_trip(tmp_path):
-    registry = load_registry()
-    stats = flat_stats(mean=2.0, sd=1.0)
-    tensors = [
-        finish_tensor(make_stay(stay_id=sid, label=sid % 2 == 0),
-                      [[float(sid)] + [None] * 47] * 13, stats,
-                      standardize=False)
-        for sid in (101, 102, 103)
-    ]
+    tensors = [constant_tensor(sid, sid % 2 == 0) for sid in (101, 102, 103)]
     split = {101: "train", 102: "val", 103: "test"}
     write_features(tmp_path, tensors, split)
     back, split_back = read_features(tmp_path)
@@ -368,13 +432,7 @@ def test_feature_csv_round_trip(tmp_path):
 
 
 def _feature_files(tmp_path):
-    stats = flat_stats(mean=2.0, sd=1.0)
-    tensors = [
-        finish_tensor(make_stay(stay_id=sid, label=sid == 102),
-                      [[float(sid)] + [None] * 47] * 13, stats,
-                      standardize=False)
-        for sid in (101, 102)
-    ]
+    tensors = [constant_tensor(sid, sid == 102) for sid in (101, 102)]
     write_features(tmp_path, tensors, {101: "train", 102: "val"})
     return {name: (tmp_path / f"features_{name}.csv").read_text().splitlines()
             for name in ("seq", "static")}
