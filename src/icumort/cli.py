@@ -54,7 +54,6 @@ def _write_stage_log(work_dir: Path, stage: str, seed, counts: dict,
     for warning in warnings or ():
         print(f"warning: {warning}", file=sys.stderr)
     log_dir = work_dir / "logs"
-    log_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "stage": stage,
         "seed": seed,
@@ -64,9 +63,11 @@ def _write_stage_log(work_dir: Path, stage: str, seed, counts: dict,
     }
     if warnings:
         payload["warnings"] = warnings
-    (log_dir / f"{stage}_log.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
+    with _writing(log_dir):
+        log_dir.mkdir(parents=True, exist_ok=True)
+        (log_dir / f"{stage}_log.json").write_text(
+            json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        )
 
 
 def _require(args: dict, *names: str) -> None:

@@ -236,7 +236,7 @@ def attribute_event(icustay_id: Optional[int], hadm_id: Optional[int],
 
 
 def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
-                        registry: ItemRegistry, error_policy: str = "skip"
+                        registry: ItemRegistry
                         ) -> tuple[dict[int, StayEvents], dict[str, int]]:
     """Stream the three event tables and bucket usable values per stay.
 
@@ -261,7 +261,7 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
     }
     for table in ("chartevents", "labevents", "outputevents"):
         path = table_path(data_dir, table)
-        rows, stats = parse_table(path, EVENT_SCHEMAS[table], error_policy)
+        rows, stats = parse_table(path, EVENT_SCHEMAS[table])
         for event in rows:
             resolved = resolve_item(registry, event.item_id)
             if resolved is None:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .tables import CsvInput
+from .tables import CsvInput, finite_float
 
 SUBROLES = (
     "plain",
@@ -136,15 +136,9 @@ def parse_numeric(value_num: Optional[float], value_text: Optional[str]
     """Best-effort numeric value of an event row.
 
     Prefers the numeric column; otherwise attempts to parse the text column.
-    Non-numeric text (error markers and the like) yields None, which
-    downstream treats as a missing observation.
+    Non-numeric or non-finite text (error markers and the like) yields
+    None, which downstream treats as a missing observation.
     """
     if value_num is not None:
         return value_num
-    if value_text is None:
-        return None
-    try:
-        v = float(value_text)
-    except ValueError:
-        return None
-    return v if v == v else None
+    return None if value_text is None else finite_float(value_text)

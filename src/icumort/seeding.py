@@ -104,11 +104,9 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
+        z = splitmix64(self._state)
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling (unbiased)."""

@@ -1,8 +1,10 @@
 """Streaming CSV ingestion for MIMIC-shaped tables.
 
-Tables arrive as plain or gzipped CSV with a header row. Column names are
-matched case-insensitively and extra columns are ignored. Event tables are
-never loaded whole: ``parse_table`` yields records in file order while
+Tables arrive as plain or gzipped CSV files with a header row. Column names
+are matched case-insensitively and extra columns are ignored. Each table's
+``TableSchema`` lists its columns once, in record-field order, with the
+parse of a non-empty value and whether the column is required. Event tables
+are never loaded whole: ``parse_table`` yields records in file order while
 counting rows read, kept, and dropped.
 
 Timestamps are parsed as naive ``YYYY-MM-DD HH:MM:SS`` (the de-identified
@@ -19,9 +21,10 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io
+import math
+import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -44,6 +47,12 @@ class RawEvent:
     value_text: Optional[str]
     unit: Optional[str]
 
+    def __post_init__(self) -> None:
+        if self.item_id <= 0:
+            raise ValueError(f"item id must be positive, got {self.item_id}")
+        if self.value_num is None and self.value_text is None:
+            raise ValueError("row has neither a numeric nor a text value")
+
 
 @dataclass(slots=True)
 class StayRow:
@@ -52,6 +61,10 @@ class StayRow:
     icustay_id: int
     intime: datetime
     outtime: datetime
+
+    def __post_init__(self) -> None:
+        if self.outtime <= self.intime:
+            raise ValueError("outtime must be after intime")
 
 
 @dataclass(slots=True)
@@ -97,10 +110,18 @@ class ParseStats:
 
 @dataclass(frozen=True)
 class TableSchema:
+    """One table's record type and its columns, in record-field order.
+
+    Each column is ``(name, parse, required)``: the lower-case header name,
+    the parse of a non-empty value (a ValueError makes the row malformed),
+    and whether an empty or absent value makes the row malformed rather
+    than ``None``. A required column missing from the header fails the
+    whole table.
+    """
+
     name: str
-    required: tuple[str, ...]
-    optional: tuple[str, ...]
-    build: Callable[[dict[str, str]], object] = field(compare=False)
+    record: type
+    columns: tuple[tuple[str, Callable[[str], object], bool], ...]
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -118,13 +139,6 @@ def parse_timestamp(text: str) -> datetime:
     raise ValueError(f"bad timestamp {text!r}")
 
 
-def _req(values: dict[str, str], col: str) -> str:
-    v = values.get(col)
-    if v is None:
-        raise ValueError(f"missing value for {col}")
-    return v
-
-
 def _parse_int(text: str) -> int:
     try:
         return int(text)
@@ -132,139 +146,66 @@ def _parse_int(text: str) -> int:
         pass
     # Some exports format integer ids as floats ("123.0").
     f = float(text)
-    i = int(f)
-    if i != f:
+    if not f.is_integer():
         raise ValueError(f"not an integer: {text!r}")
-    return i
+    return int(f)
 
 
-def _req_int(values: dict[str, str], col: str) -> int:
-    return _parse_int(_req(values, col))
-
-
-def _opt_int(values: dict[str, str], col: str) -> Optional[int]:
-    v = values.get(col)
-    return None if v is None else _parse_int(v)
-
-
-def _req_ts(values: dict[str, str], col: str) -> datetime:
-    return parse_timestamp(_req(values, col))
-
-
-def _opt_ts(values: dict[str, str], col: str) -> Optional[datetime]:
-    v = values.get(col)
-    return None if v is None else parse_timestamp(v)
-
-
-def _opt_float(values: dict[str, str], col: str) -> Optional[float]:
-    v = values.get(col)
-    if v is None:
-        return None
+def finite_float(text: str) -> Optional[float]:
+    """The finite float that ``text`` spells, else None (nan and inf too)."""
     try:
-        f = float(v)
+        f = float(text)
     except ValueError:
         return None
-    return f if f == f else None
+    return f if math.isfinite(f) else None
 
 
-def _build_event(values: dict[str, str]) -> RawEvent:
-    item_id = _req_int(values, "itemid")
-    if item_id <= 0:
-        raise ValueError(f"item id must be positive, got {item_id}")
-    value_num = _opt_float(values, "valuenum")
-    value_text = values.get("value")
-    if value_num is None and value_text is None:
-        raise ValueError("row has neither a numeric nor a text value")
-    return RawEvent(
-        subject_id=_req_int(values, "subject_id"),
-        hadm_id=_opt_int(values, "hadm_id"),
-        icustay_id=_opt_int(values, "icustay_id"),
-        item_id=item_id,
-        charttime=_req_ts(values, "charttime"),
-        value_num=value_num,
-        value_text=value_text,
-        unit=values.get("valueuom"),
-    )
-
-
-def _build_stay(values: dict[str, str]) -> StayRow:
-    intime = _req_ts(values, "intime")
-    outtime = _req_ts(values, "outtime")
-    if outtime <= intime:
-        raise ValueError("outtime must be after intime")
-    return StayRow(
-        subject_id=_req_int(values, "subject_id"),
-        hadm_id=_req_int(values, "hadm_id"),
-        icustay_id=_req_int(values, "icustay_id"),
-        intime=intime,
-        outtime=outtime,
-    )
-
-
-def _build_patient(values: dict[str, str]) -> PatientRow:
-    return PatientRow(
-        subject_id=_req_int(values, "subject_id"),
-        dob=_req_ts(values, "dob"),
-    )
-
-
-def _build_admission(values: dict[str, str]) -> AdmissionRow:
-    return AdmissionRow(
-        subject_id=_req_int(values, "subject_id"),
-        hadm_id=_req_int(values, "hadm_id"),
-        admittime=_req_ts(values, "admittime"),
-        dischtime=_opt_ts(values, "dischtime"),
-        deathtime=_opt_ts(values, "deathtime"),
-        admission_type=_req(values, "admission_type").upper(),
-        hospital_expire_flag=_opt_int(values, "hospital_expire_flag"),
-    )
-
-
-def _build_diagnosis(values: dict[str, str]) -> DiagnosisRow:
-    return DiagnosisRow(
-        subject_id=_req_int(values, "subject_id"),
-        hadm_id=_req_int(values, "hadm_id"),
-        icd9_code=_req(values, "icd9_code").upper(),
-    )
-
-
-def _build_service(values: dict[str, str]) -> ServiceRow:
-    return ServiceRow(
-        subject_id=_req_int(values, "subject_id"),
-        hadm_id=_req_int(values, "hadm_id"),
-        transfertime=_req_ts(values, "transfertime"),
-        curr_service=_req(values, "curr_service").upper(),
-    )
-
-
-_EVENT_REQUIRED = ("subject_id", "itemid", "charttime")
-_EVENT_OPTIONAL = ("hadm_id", "icustay_id", "value", "valuenum", "valueuom")
-
-CHARTEVENTS = TableSchema("chartevents", _EVENT_REQUIRED, _EVENT_OPTIONAL, _build_event)
-LABEVENTS = TableSchema("labevents", _EVENT_REQUIRED, _EVENT_OPTIONAL, _build_event)
-OUTPUTEVENTS = TableSchema("outputevents", _EVENT_REQUIRED, _EVENT_OPTIONAL, _build_event)
-ICUSTAYS = TableSchema(
-    "icustays",
-    ("subject_id", "hadm_id", "icustay_id", "intime", "outtime"),
-    (),
-    _build_stay,
+_EVENT_COLUMNS = (
+    ("subject_id", _parse_int, True),
+    ("hadm_id", _parse_int, False),
+    ("icustay_id", _parse_int, False),
+    ("itemid", _parse_int, True),
+    ("charttime", parse_timestamp, True),
+    # Lenient: an unparseable or non-finite VALUENUM is None, not malformed.
+    ("valuenum", finite_float, False),
+    ("value", str, False),
+    ("valueuom", str, False),
 )
-PATIENTS = TableSchema("patients", ("subject_id", "dob"), (), _build_patient)
-ADMISSIONS = TableSchema(
-    "admissions",
-    ("subject_id", "hadm_id", "admittime", "admission_type"),
-    ("dischtime", "deathtime", "hospital_expire_flag"),
-    _build_admission,
-)
-DIAGNOSES_ICD = TableSchema(
-    "diagnoses_icd", ("subject_id", "hadm_id", "icd9_code"), (), _build_diagnosis
-)
-SERVICES = TableSchema(
-    "services",
-    ("subject_id", "hadm_id", "transfertime", "curr_service"),
-    (),
-    _build_service,
-)
+
+CHARTEVENTS = TableSchema("chartevents", RawEvent, _EVENT_COLUMNS)
+LABEVENTS = TableSchema("labevents", RawEvent, _EVENT_COLUMNS)
+OUTPUTEVENTS = TableSchema("outputevents", RawEvent, _EVENT_COLUMNS)
+ICUSTAYS = TableSchema("icustays", StayRow, (
+    ("subject_id", _parse_int, True),
+    ("hadm_id", _parse_int, True),
+    ("icustay_id", _parse_int, True),
+    ("intime", parse_timestamp, True),
+    ("outtime", parse_timestamp, True),
+))
+PATIENTS = TableSchema("patients", PatientRow, (
+    ("subject_id", _parse_int, True),
+    ("dob", parse_timestamp, True),
+))
+ADMISSIONS = TableSchema("admissions", AdmissionRow, (
+    ("subject_id", _parse_int, True),
+    ("hadm_id", _parse_int, True),
+    ("admittime", parse_timestamp, True),
+    ("dischtime", parse_timestamp, False),
+    ("deathtime", parse_timestamp, False),
+    ("admission_type", str.upper, True),
+    ("hospital_expire_flag", _parse_int, False),
+))
+DIAGNOSES_ICD = TableSchema("diagnoses_icd", DiagnosisRow, (
+    ("subject_id", _parse_int, True),
+    ("hadm_id", _parse_int, True),
+    ("icd9_code", str.upper, True),
+))
+SERVICES = TableSchema("services", ServiceRow, (
+    ("subject_id", _parse_int, True),
+    ("hadm_id", _parse_int, True),
+    ("transfertime", parse_timestamp, True),
+    ("curr_service", str.upper, True),
+))
 
 EVENT_SCHEMAS = {
     "chartevents": CHARTEVENTS,
@@ -273,34 +214,19 @@ EVENT_SCHEMAS = {
 }
 
 
-def _open_text(source) -> tuple[io.TextIOBase, bool]:
-    """Open a path or binary/text stream as text. Returns (handle, owns)."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.suffix == ".gz":
-            return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8",
-                                    newline=""), True
-        return open(path, newline="", encoding="utf-8"), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # Binary file-like (anything with a read() returning bytes).
-    return io.TextIOWrapper(source, newline=""), False
-
-
 class CsvInput:
-    """The rows of one CSV path or stream, read under one error mapping.
+    """The rows of one CSV file, read under one error mapping.
 
     Every input file the pipeline reads goes through here. Iterating opens
-    the source, decompressing a path that ends in ``.gz``, and yields each
+    the file, decompressing a path that ends in ``.gz``, and yields each
     row's fields; ``line_num`` is the physical line of the last row. A file
     that cannot be opened, read, decompressed or decoded as UTF-8, and a row
     the CSV reader rejects, raise ``error`` naming the file and, for a bad
     row, its line.
     """
 
-    def __init__(self, source, error: type[PipelineError] = DataError):
-        self.source = source
-        self.name = source if isinstance(source, (str, Path)) else "input"
+    def __init__(self, path: str | Path, error: type[PipelineError] = DataError):
+        self.path = path
         self.error = error
         self._reader = None
 
@@ -309,52 +235,48 @@ class CsvInput:
         return self._reader.line_num if self._reader is not None else 0
 
     def __iter__(self) -> Iterator[list[str]]:
+        opener = gzip.open if Path(self.path).suffix == ".gz" else open
         try:
-            fh, owns = _open_text(self.source)
-            try:
+            with opener(self.path, "rt", encoding="utf-8", newline="") as fh:
                 self._reader = csv.reader(fh)
                 yield from self._reader
-            finally:
-                if owns:
-                    fh.close()
         except csv.Error as exc:
-            raise self.error(f"{self.name}:{self.line_num}: {exc}") from exc
+            raise self.error(f"{self.path}:{self.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise self.error(f"{self.name}: not UTF-8 text ({exc.reason})"
+            raise self.error(f"{self.path}: not UTF-8 text ({exc.reason})"
                              ) from exc
         except (OSError, EOFError, zlib.error) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            raise self.error(f"cannot read {self.name}: {reason}") from exc
+            raise self.error(f"cannot read {self.path}: {reason}") from exc
 
 
-def parse_table(source, schema: TableSchema, error_policy: str = "skip"
+def parse_table(path: str | Path, schema: TableSchema
                 ) -> tuple[Iterator, ParseStats]:
-    """Stream-parse one CSV table into typed records.
+    """Stream-parse one CSV table file into ``schema.record`` records.
 
     The header is validated eagerly; a missing required column raises
     SchemaError naming the column. Returns (record iterator, stats); the
-    stats are complete once the iterator is exhausted. Under
-    ``error_policy="skip"`` malformed rows are counted and skipped; under
-    ``"strict"`` the first malformed row raises SchemaError with its
-    1-based physical line number (header included). A file that cannot be
-    read raises DataError (see ``CsvInput``).
+    stats are complete once the iterator is exhausted. A malformed row (an
+    empty required value, a value its column's parse rejects, or a record
+    that fails its own checks) is counted as dropped and skipped. A file
+    that cannot be read raises DataError (see ``CsvInput``).
     """
-    if error_policy not in ("skip", "strict"):
-        raise SchemaError(f"unknown error policy {error_policy!r}")
-    csv_input = CsvInput(source)
-    lines = iter(csv_input)
+    lines = iter(CsvInput(path))
     header = next(lines, None)
     if header is None:
         raise SchemaError(f"{schema.name}: file is empty, header row required")
     col_idx = {name.strip().lower(): i for i, name in enumerate(header)}
-    missing = [c for c in schema.required if c not in col_idx]
+    missing = [name for name, _, required in schema.columns
+               if required and name not in col_idx]
     if missing:
         lines.close()
         raise SchemaError(
             f"{schema.name}: missing required column(s): {', '.join(missing)}"
         )
-    take = [(c, col_idx[c]) for c in (*schema.required, *schema.optional)
-            if c in col_idx]
+    # An absent column takes an index no row reaches, so it reads as empty.
+    take = [(col_idx.get(name, sys.maxsize), parse, required, name)
+            for name, parse, required in schema.columns]
+    record = schema.record
     stats = ParseStats()
 
     def rows() -> Iterator:
@@ -362,32 +284,31 @@ def parse_table(source, schema: TableSchema, error_policy: str = "skip"
             if not row:
                 continue
             stats.rows_read += 1
-            values: dict[str, str] = {}
-            for name, i in take:
-                if i < len(row):
-                    v = row[i].strip()
-                    if v:
-                        values[name] = v
+            n = len(row)
+            fields = []
             try:
-                record = schema.build(values)
-            except ValueError as exc:
+                for i, parse, required, name in take:
+                    text = row[i].strip() if i < n else ""
+                    if text:
+                        fields.append(parse(text))
+                    elif required:
+                        raise ValueError(f"missing value for {name}")
+                    else:
+                        fields.append(None)
+                built = record(*fields)
+            except ValueError:
                 stats.rows_dropped += 1
-                if error_policy == "strict":
-                    raise SchemaError(
-                        f"{schema.name}: malformed row at line "
-                        f"{csv_input.line_num}: {exc}"
-                    ) from exc
                 continue
             stats.rows_kept += 1
-            yield record
+            yield built
 
     return rows(), stats
 
 
-def load_table(source, schema: TableSchema, error_policy: str = "skip"
+def load_table(path: str | Path, schema: TableSchema
                ) -> tuple[list, ParseStats]:
     """Eagerly parse a whole table (for the small dimension tables)."""
-    it, stats = parse_table(source, schema, error_policy)
+    it, stats = parse_table(path, schema)
     return list(it), stats
 
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -465,6 +466,60 @@ def test_unwritable_output_is_one_error_line(reference_dir, tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
     assert blocker.read_text() == "kept\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "cohort", "featurize"])
+def test_logs_that_is_a_file_is_one_error_line(reference_dir, tmp_path, capsys,
+                                               command):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    shutil.rmtree(work / "logs")
+    (work / "logs").write_text("kept\n")
+    argv = {
+        "synth": ["--out", str(work), "--synth-patients", "20"],
+        "cohort": ["--data", str(work / "data"), "--work", str(work)],
+        "featurize": ["--data", str(work / "data"), "--work", str(work)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, *_SEED]) == 2
+    # cohort warns of the reference data's one expire flag disagreement.
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning: ")]
+    assert err == [f"error: cannot write {work / 'logs'}: File exists"]
+    assert (work / "logs").read_text() == "kept\n"
+
+
+def test_infinite_event_value_counts_as_unparseable(reference_dir, tmp_path,
+                                                    capsys):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    with open(work / "cohort.csv", newline="") as fh:
+        intimes = {r["icustay_id"]: datetime.fromisoformat(r["intime"])
+                   for r in csv.DictReader(fh)}
+    path = work / "data" / "CHARTEVENTS.csv"
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    stay, item, time, value, valuenum = (header.index(c) for c in (
+        "ICUSTAY_ID", "ITEMID", "CHARTTIME", "VALUE", "VALUENUM"))
+    # A heart-rate row inside its cohort stay's 48 h window.
+    row = next(r for r in rows if r[item] in ("211", "220045")
+               and r[stay] in intimes and r[valuenum]
+               and timedelta(0) <= datetime.fromisoformat(r[time])
+               - intimes[r[stay]] < timedelta(hours=47))
+    row[value] = row[valuenum] = "inf"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+    capsys.readouterr()
+    assert main(["featurize", "--data", str(work / "data"), "--work",
+                 str(work), *_SEED]) == 0
+    assert capsys.readouterr().err == ""
+    before = _log(reference_dir, "featurize")["counts"]
+    after = _log(work, "featurize")["counts"]
+    assert after == {**before,
+                     "events_matched": before["events_matched"] - 1,
+                     "events_unparseable_value":
+                         before["events_unparseable_value"] + 1}
 
 
 @pytest.mark.parametrize("stage, name", [

@@ -75,7 +75,8 @@ def test_parse_numeric_prefers_numeric_column():
 def test_parse_numeric_error_text_is_missing():
     assert parse_numeric(None, "ERROR") is None
     assert parse_numeric(None, None) is None
-    assert parse_numeric(None, "nan") is None
+    for text in ("nan", "inf", "-inf", "1e999"):
+        assert parse_numeric(None, text) is None
 
 
 def test_parse_numeric_parses_numeric_text():

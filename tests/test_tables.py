@@ -1,5 +1,5 @@
+import dataclasses
 import gzip
-import io
 import random
 from datetime import datetime
 
@@ -9,7 +9,11 @@ from icumort.errors import SchemaError
 from icumort.tables import (
     ADMISSIONS,
     CHARTEVENTS,
+    DIAGNOSES_ICD,
+    EVENT_SCHEMAS,
     ICUSTAYS,
+    PATIENTS,
+    SERVICES,
     load_table,
     parse_table,
     parse_timestamp,
@@ -18,14 +22,22 @@ from icumort.tables import (
 from icumort.errors import DataError
 
 
-def _parse_all(text, schema=CHARTEVENTS, policy="skip"):
-    rows, stats = parse_table(io.BytesIO(text.encode()), schema, policy)
-    return list(rows), stats
+@pytest.fixture
+def parse_text(tmp_path):
+    """Parse CSV text written to a file; returns (records, stats)."""
+
+    def parse(text, schema=CHARTEVENTS):
+        path = tmp_path / f"{schema.name}.csv"
+        path.write_text(text)
+        rows, stats = parse_table(path, schema)
+        return list(rows), stats
+
+    return parse
 
 
-def test_single_valid_row():
+def test_single_valid_row(parse_text):
     text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n1,211,2101-01-01 10:00:00,80\n"
-    records, stats = _parse_all(text)
+    records, stats = parse_text(text)
     assert len(records) == 1
     assert records[0].subject_id == 1
     assert records[0].item_id == 211
@@ -34,81 +46,41 @@ def test_single_valid_row():
     assert stats.rows_read == stats.rows_kept + stats.rows_dropped == 1
 
 
-def test_bad_timestamp_skipped_under_skip_policy():
+def test_bad_timestamp_skipped_under_skip_policy(parse_text):
     text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n1,211,not a date,80\n"
-    records, stats = _parse_all(text)
+    records, stats = parse_text(text)
     assert records == []
     assert stats.rows_dropped == 1
     assert stats.rows_read == 1
 
 
-def test_strict_mode_reports_line_number_including_header():
-    text = (
-        "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
-        "1,211,2101-01-01 10:00:00,80\n"
-        "2,211,2101-01-01 11:00:00\n"  # data row 2 = physical line 3
-        "3,211,2101-01-01 12:00:00,82\n"
-    )
-    rows, _ = parse_table(io.BytesIO(text.encode()), CHARTEVENTS, "strict")
-    with pytest.raises(SchemaError, match="line 3"):
-        list(rows)
-
-
-def test_missing_required_column_names_it():
+def test_missing_required_column_names_it(parse_text):
     text = "SUBJECT_ID,CHARTTIME,VALUENUM\n1,2101-01-01 10:00:00,80\n"
     with pytest.raises(SchemaError, match="itemid"):
-        parse_table(io.BytesIO(text.encode()), CHARTEVENTS)
+        parse_text(text)
 
 
-def test_header_matching_is_case_insensitive():
+def test_header_matching_is_case_insensitive(parse_text):
     text = "subject_id,ItemID,charttime,ValueNum\n1,211,2101-01-01 10:00:00,80\n"
-    records, _ = _parse_all(text)
+    records, _ = parse_text(text)
     assert len(records) == 1
 
 
-def test_row_with_text_value_only_is_kept():
+def test_row_with_text_value_only_is_kept(parse_text):
     text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUE\n1,211,2101-01-01 10:00:00,ERROR\n"
-    records, _ = _parse_all(text)
+    records, _ = parse_text(text)
     assert records[0].value_num is None
     assert records[0].value_text == "ERROR"
 
 
-def test_row_with_no_value_is_malformed():
+def test_row_with_no_value_is_malformed(parse_text):
     text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUE,VALUENUM\n1,211,2101-01-01 10:00:00,,\n"
-    records, stats = _parse_all(text)
+    records, stats = parse_text(text)
     assert records == []
     assert stats.rows_dropped == 1
 
 
-def test_chunked_stream_yields_identical_records():
-    lines = ["SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM"]
-    for i in range(50):
-        lines.append(f"{i},211,2101-01-01 {i % 24:02d}:00:00,{70 + i}")
-    text = "\n".join(lines) + "\n"
-
-    class Chunked(io.RawIOBase):
-        # Returns at most 7 bytes per read to exercise buffering.
-        def __init__(self, data: bytes):
-            self._data = data
-            self._pos = 0
-
-        def readable(self):
-            return True
-
-        def readinto(self, b):
-            chunk = self._data[self._pos : self._pos + min(len(b), 7)]
-            b[: len(chunk)] = chunk
-            self._pos += len(chunk)
-            return len(chunk)
-
-    whole, _ = _parse_all(text)
-    chunked_rows, _ = parse_table(
-        io.BufferedReader(Chunked(text.encode())), CHARTEVENTS
-    )
-    assert list(chunked_rows) == whole
-
-
-def test_stats_invariant_on_mixed_file():
+def test_stats_invariant_on_mixed_file(parse_text):
     text = (
         "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
         "1,211,2101-01-01 10:00:00,80\n"
@@ -116,32 +88,117 @@ def test_stats_invariant_on_mixed_file():
         "2,211,bad,80\n"
         "3,211,2101-01-01 10:00:00,81\n"
     )
-    records, stats = _parse_all(text)
+    records, stats = parse_text(text)
     assert stats.rows_read == 4
     assert stats.rows_kept == len(records) == 2
     assert stats.rows_read == stats.rows_kept + stats.rows_dropped
 
 
-def test_icustays_rejects_outtime_before_intime():
+def test_icustays_rejects_outtime_before_intime(parse_text):
     text = (
         "SUBJECT_ID,HADM_ID,ICUSTAY_ID,INTIME,OUTTIME\n"
         "1,10,100,2101-01-02 00:00:00,2101-01-01 00:00:00\n"
     )
-    records, stats = _parse_all(text, schema=ICUSTAYS)
+    records, stats = parse_text(text, ICUSTAYS)
     assert records == []
     assert stats.rows_dropped == 1
 
 
-def test_admissions_optional_fields():
+def test_admissions_optional_fields(parse_text):
     text = (
         "SUBJECT_ID,HADM_ID,ADMITTIME,ADMISSION_TYPE,DEATHTIME,"
         "HOSPITAL_EXPIRE_FLAG\n"
         "1,10,2101-01-01 00:00:00,emergency,,\n"
     )
-    records, _ = _parse_all(text, schema=ADMISSIONS)
+    records, _ = parse_text(text, ADMISSIONS)
     assert records[0].admission_type == "EMERGENCY"
     assert records[0].deathtime is None
     assert records[0].hospital_expire_flag is None
+
+
+_TS = [datetime(2101, 1, d, d, d, d) for d in range(1, 4)]
+
+# For each table, a row whose every column holds a distinct value, and the
+# record fields those values must land in. Positional construction would
+# swap two same-typed columns listed out of field order; this catches it.
+_DISTINCT_ROWS = [
+    *((schema, {"subject_id": "1", "hadm_id": "2", "icustay_id": "3",
+                "itemid": "4", "charttime": str(_TS[0]), "valuenum": "5.5",
+                "value": "six", "valueuom": "seven"},
+       {"subject_id": 1, "hadm_id": 2, "icustay_id": 3, "item_id": 4,
+        "charttime": _TS[0], "value_num": 5.5, "value_text": "six",
+        "unit": "seven"})
+      for schema in EVENT_SCHEMAS.values()),
+    (ICUSTAYS, {"subject_id": "1", "hadm_id": "2", "icustay_id": "3",
+                "intime": str(_TS[0]), "outtime": str(_TS[1])},
+     {"subject_id": 1, "hadm_id": 2, "icustay_id": 3, "intime": _TS[0],
+      "outtime": _TS[1]}),
+    (PATIENTS, {"subject_id": "1", "dob": str(_TS[0])},
+     {"subject_id": 1, "dob": _TS[0]}),
+    (ADMISSIONS, {"subject_id": "1", "hadm_id": "2", "admittime": str(_TS[0]),
+                  "dischtime": str(_TS[1]), "deathtime": str(_TS[2]),
+                  "admission_type": "urgent", "hospital_expire_flag": "3"},
+     {"subject_id": 1, "hadm_id": 2, "admittime": _TS[0], "dischtime": _TS[1],
+      "deathtime": _TS[2], "admission_type": "URGENT",
+      "hospital_expire_flag": 3}),
+    (DIAGNOSES_ICD, {"subject_id": "1", "hadm_id": "2", "icd9_code": "v30"},
+     {"subject_id": 1, "hadm_id": 2, "icd9_code": "V30"}),
+    (SERVICES, {"subject_id": "1", "hadm_id": "2", "transfertime": str(_TS[0]),
+                "curr_service": "med"},
+     {"subject_id": 1, "hadm_id": 2, "transfertime": _TS[0],
+      "curr_service": "MED"}),
+]
+
+
+@pytest.mark.parametrize("schema, row, expected", _DISTINCT_ROWS,
+                         ids=[schema.name for schema, _, _ in _DISTINCT_ROWS])
+def test_every_column_lands_in_its_own_field(parse_text, schema, row,
+                                             expected):
+    assert [name for name, _, _ in schema.columns] == list(row)
+    # Header in reverse, with an unused column, so file order cannot help.
+    names = ["unused", *reversed(row)]
+    text = (",".join(n.upper() for n in names) + "\n"
+            + ",".join(["x", *(row[n] for n in reversed(row))]) + "\n")
+    records, stats = parse_text(text, schema)
+    assert stats.rows_kept == 1
+    assert dataclasses.asdict(records[0]) == expected
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "nan"])
+@pytest.mark.parametrize("schema, text", [
+    (CHARTEVENTS, "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
+                  "{},211,2101-01-01 10:00:00,80\n1,211,2101-01-01 11:00:00,81\n"),
+    (ICUSTAYS, "SUBJECT_ID,HADM_ID,ICUSTAY_ID,INTIME,OUTTIME\n"
+               "1,{},100,2101-01-01 00:00:00,2101-01-04 00:00:00\n"
+               "2,20,200,2101-01-01 00:00:00,2101-01-04 00:00:00\n"),
+], ids=["event", "dimension"])
+def test_non_finite_id_is_a_malformed_row(parse_text, schema, text, value):
+    records, stats = parse_text(text.format(value), schema)
+    assert (stats.rows_read, stats.rows_kept, stats.rows_dropped) == (2, 1, 1)
+    assert len(records) == 1
+
+
+def test_integral_float_id_is_accepted(parse_text):
+    text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n7.0,211.0,2101-01-01,80\n"
+    records, _ = parse_text(text)
+    assert (records[0].subject_id, records[0].item_id) == (7, 211)
+
+
+def test_non_finite_valuenum_falls_back_to_the_text_value(parse_text):
+    text = ("SUBJECT_ID,ITEMID,CHARTTIME,VALUE,VALUENUM\n"
+            "1,211,2101-01-01 10:00:00,80,inf\n"
+            "2,211,2101-01-01 10:00:00,,inf\n")
+    records, stats = parse_text(text)
+    assert [(r.value_num, r.value_text) for r in records] == [(None, "80")]
+    assert stats.rows_dropped == 1
+
+
+def test_row_longer_than_the_header_ignores_extra_fields(parse_text):
+    # The fourth field is not read as the absent VALUENUM, so the row has
+    # no value at all.
+    text = "SUBJECT_ID,ITEMID,CHARTTIME\n1,211,2101-01-01 10:00:00,80\n"
+    records, stats = parse_text(text)
+    assert records == [] and stats.rows_dropped == 1
 
 
 def test_gzip_path_supported(tmp_path):
