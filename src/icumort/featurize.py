@@ -5,28 +5,31 @@ admission, columns are the fixed channel order) plus a 7-element static
 vector [age, scheduled-surgical, unscheduled-surgical, medical, aids,
 hematologic malignancy, metastatic cancer] and the binary label.
 
-Cleaning rules:
-  * temperatures are converted to Fahrenheit;
-  * when an hour holds several values of one channel, one is picked with a
-    generator keyed by (stay, channel, hour), except urine volumes which are
-    summed (they are additive; a flag restores the literal pick);
-  * NaN marks an unobserved hour until imputation, which forward-fills
-    missing hours, back-fills leading gaps, and gives fully unobserved
-    channels the population mean.
+The usable events become one ``MatchedEvents`` record of four flat arrays
+in file order: stay id, slot, minute and value. Slots 0-12 are the
+channels, 13-15 the coma-score parts. Collection converts temperatures to
+Fahrenheit and makes irrigant inflow negative. One binning rule groups all
+stays' events by cell (stay, hour, slot): a lone value passes through,
+urine volumes are summed (a flag restores the literal pick), and any other
+cell picks one value with a generator keyed by (stay, channel, hour). The
+coma score sums its three parts, NaN in an hour missing any of them.
 
-Population means and standard deviations come from the training split only
-(a flag restores pooling over all splits), and standardization of sequential
-values and age is on by default.
+NaN marks an unobserved hour until imputation, which forward-fills missing
+hours, back-fills leading gaps, and gives fully unobserved channels the
+population mean. Population means and standard deviations come from the
+training split only (a flag restores pooling over all splits), and
+standardization of sequential values and age is on by default.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +42,8 @@ from .cohort import (
     parse_split,
 )
 from .errors import ConfigError, DataError
-from .items import CHANNELS, N_CHANNELS, ItemRegistry, parse_numeric, resolve_item
+from .items import (CHANNEL_BY_NAME, CHANNELS, N_CHANNELS, ItemRegistry,
+                    parse_numeric, resolve_item)
 from .seeding import SplitMix64, derive_seed
 from .tables import parse_table, read_artifact_rows, table_path, EVENT_SCHEMAS
 
@@ -47,10 +51,19 @@ WINDOW_HOURS = 48
 WINDOW_MINUTES = WINDOW_HOURS * 60
 STANDARDIZE_EPS = 1e-6
 
-GCS_SUBROLES = ("gcs_verbal", "gcs_motor", "gcs_eyes")
+# The coma-score parts follow the channels as slots 13-15.
+GCS_PART_SLOTS = {"gcs_verbal": 13, "gcs_motor": 14, "gcs_eyes": 15}
+N_SLOTS = N_CHANNELS + len(GCS_PART_SLOTS)
+URINE_SLOT = CHANNEL_BY_NAME["UrineOutput"].channel_index
 
-# A per-stay bucket is a list of (minute offset, value, subrole) per channel.
-StayEvents = list  # list[list[tuple[int, float, str]]]
+
+class MatchedEvents(NamedTuple):
+    """Usable events in file order, one entry per event in each array."""
+
+    stay: array  # "q": ICU stay id
+    slot: array  # "b": channel index, or a coma-score part slot
+    minute: array  # "i": minutes since the stay's INTIME, in 0..2879
+    value: array  # "d": temperatures in Fahrenheit, irrigant inflow negative
 
 
 @dataclass
@@ -69,50 +82,6 @@ class FeatureTensor:
     seq: np.ndarray  # (48, 13) float64, dense
     static: np.ndarray  # (7,) float64
     label: int
-
-
-def to_fahrenheit(value: float, subrole: str) -> float:
-    """Normalize a temperature reading to Fahrenheit."""
-    if subrole == "temp_c":
-        return value * 9.0 / 5.0 + 32.0
-    if subrole == "temp_f":
-        return value
-    raise ConfigError(f"not a temperature subrole: {subrole!r}")
-
-
-def bin_hourly(events: Iterable[tuple[int, float]], seed: int) -> list[float]:
-    """Reduce (minute, value) events to one value per hour slot, NaN if none.
-
-    A lone value passes through; several values in one hour are resolved by
-    a uniform pick from a generator keyed by (seed, hour), after sorting the
-    candidates so the result does not depend on event file order. Events
-    outside the 48 hour window are ignored.
-    """
-    per_hour: list[list[tuple[int, float]]] = [[] for _ in range(WINDOW_HOURS)]
-    for minute, value in events:
-        if 0 <= minute < WINDOW_MINUTES:
-            per_hour[minute // 60].append((minute, value))
-    slots = [math.nan] * WINDOW_HOURS
-    for hour, candidates in enumerate(per_hour):
-        if not candidates:
-            continue
-        if len(candidates) == 1:
-            slots[hour] = candidates[0][1]
-            continue
-        candidates.sort()
-        pick = SplitMix64(derive_seed(seed, hour)).randbelow(len(candidates))
-        slots[hour] = candidates[pick][1]
-    return slots
-
-
-def bin_hourly_sum(events: Iterable[tuple[int, float]]) -> list[float]:
-    """Sum all contributions that fall in each hour slot (volumes add)."""
-    slots = [math.nan] * WINDOW_HOURS
-    for minute, value in events:
-        if 0 <= minute < WINDOW_MINUTES:
-            hour = minute // 60
-            slots[hour] = value if math.isnan(slots[hour]) else slots[hour] + value
-    return slots
 
 
 def impute(hours: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -178,39 +147,54 @@ def static_vector(stay: CohortStay) -> np.ndarray:
     )
 
 
-def assemble_hourly(stay_id: int, stay_events: StayEvents, global_seed: int,
-                    literal_urine_pick: bool = False) -> np.ndarray:
-    """Pre-imputation (48, 13) hourly array of one stay, NaN where unobserved.
+def bin_events(events: MatchedEvents, stay_ids: Sequence[int],
+               global_seed: int, literal_urine_pick: bool = False
+               ) -> np.ndarray:
+    """Pre-imputation (stays, 48, 13) hourly array, NaN where unobserved.
 
-    Applies unit conversion, the coma-score component sum (an hour missing
-    any component stays NaN), the urine summation rule, and the keyed
-    per-hour pick for duplicated measurements.
+    Rows follow the ascending ``stay_ids``; other stays' events are ignored.
+    A cell (stay, hour, slot) with one value passes it through. A urine cell
+    sums its values in file order unless ``literal_urine_pick``. Any other
+    cell takes a uniform pick, keyed by (stay, channel[, part], hour), among
+    its candidates sorted by (minute, value) with ties in file order, so the
+    result does not depend on event file order. The GCS column is the sum
+    of the three part slots.
     """
-    columns: list[list[float]] = []
-    for channel in CHANNELS:
-        events = stay_events[channel.channel_index]
-        base_seed = derive_seed(global_seed, "featurize", stay_id,
-                                channel.channel_index)
-        if channel.name == "GCS":
-            verbal, motor, eyes = (
-                bin_hourly([(m, v) for m, v, r in events if r == subrole],
-                           derive_seed(base_seed, k + 1))
-                for k, subrole in enumerate(GCS_SUBROLES)
-            )
-            columns.append([v + m + e for v, m, e in zip(verbal, motor, eyes)])
-        elif channel.name == "TempF":
-            converted = [(m, to_fahrenheit(v, r)) for m, v, r in events]
-            columns.append(bin_hourly(converted, base_seed))
-        elif channel.name == "UrineOutput":
-            signed = [(m, -v if r == "urine_in_irrigant" else v)
-                      for m, v, r in events]
-            if literal_urine_pick:
-                columns.append(bin_hourly(signed, base_seed))
-            else:
-                columns.append(bin_hourly_sum(signed))
-        else:
-            columns.append(bin_hourly([(m, v) for m, v, _ in events], base_seed))
-    return np.array(columns).T
+    ids = np.asarray(stay_ids, dtype=np.int64)
+    stay = np.asarray(events.stay)
+    known = np.isin(stay, ids)
+    minute = np.asarray(events.minute)[known]
+    value = np.asarray(events.value)[known]
+    slot = np.asarray(events.slot)[known]
+    cell = ((np.searchsorted(ids, stay[known]) * WINDOW_HOURS + minute // 60)
+            * N_SLOTS + slot)
+    summed = (slot == URINE_SLOT) & (not literal_urine_pick)
+    # A summed cell keeps file order: its minute and value keys are zeroed.
+    order = np.lexsort((np.where(summed, 0.0, value),
+                        np.where(summed, 0, minute), cell))
+    cell, value, summed = cell[order], value[order], summed[order]
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    count = np.diff(first, append=cell.size)
+    binned = value[first]
+    summed = summed[first]
+    # A left fold from the first volume, one position at a time.
+    for k in range(1, int(count.max(initial=1))):
+        more = summed & (count > k)
+        binned[more] += value[first[more] + k]
+    for i in np.flatnonzero(~summed & (count > 1)):
+        row, hour, s = map(int, np.unravel_index(
+            cell[first[i]], (ids.size, WINDOW_HOURS, N_SLOTS)))
+        part = s >= N_CHANNELS  # a coma-score part hangs off channel 0
+        seed = derive_seed(global_seed, "featurize", int(ids[row]),
+                           0 if part else s)
+        if part:
+            seed = derive_seed(seed, s - N_CHANNELS + 1)
+        pick = SplitMix64(derive_seed(seed, hour)).randbelow(int(count[i]))
+        binned[i] = value[first[i] + pick]
+    grid = np.full((ids.size * WINDOW_HOURS, N_SLOTS), np.nan)
+    grid.flat[cell[first]] = binned
+    grid[:, 0] = grid[:, 13] + grid[:, 14] + grid[:, 15]  # verbal+motor+eyes
+    return grid[:, :N_CHANNELS].reshape(ids.size, WINDOW_HOURS, N_CHANNELS)
 
 
 def attribute_event(icustay_id: Optional[int], hadm_id: Optional[int],
@@ -237,8 +221,8 @@ def attribute_event(icustay_id: Optional[int], hadm_id: Optional[int],
 
 def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
                         registry: ItemRegistry
-                        ) -> tuple[dict[int, StayEvents], dict[str, int]]:
-    """Stream the three event tables and bucket usable values per stay.
+                        ) -> tuple[MatchedEvents, dict[str, int]]:
+    """Stream the three event tables and keep the usable events.
 
     An event is kept when its item is in the registry, ``attribute_event``
     places it in a cohort stay's 48 hour window and its value parses as a
@@ -247,9 +231,7 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
     """
     by_icustay = {s.icustay_id: s for s in cohort}
     by_hadm = {s.hadm_id: s for s in cohort}
-    events: dict[int, StayEvents] = {
-        s.icustay_id: [[] for _ in range(N_CHANNELS)] for s in cohort
-    }
+    events = MatchedEvents(array("q"), array("b"), array("i"), array("d"))
     counts: dict[str, int] = {
         "events_read": 0,
         "events_matched": 0,
@@ -280,9 +262,14 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
                 counts["events_unparseable_value"] += 1
                 continue
             channel, subrole = resolved
-            events[stay.icustay_id][channel.channel_index].append(
-                (minute, value, subrole)
-            )
+            if subrole == "temp_c":
+                value = value * 9.0 / 5.0 + 32.0
+            elif subrole == "urine_in_irrigant":
+                value = -value
+            events.stay.append(stay.icustay_id)
+            events.slot.append(GCS_PART_SLOTS.get(subrole, channel.channel_index))
+            events.minute.append(minute)
+            events.value.append(value)
             counts["events_matched"] += 1
         counts["events_read"] += stats.rows_read
         counts["events_malformed"] += stats.rows_dropped
@@ -292,7 +279,7 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
 def featurize_cohort(
     cohort: Sequence[CohortStay],
     splits: Mapping[int, str],
-    events: Mapping[int, StayEvents],
+    events: MatchedEvents,
     global_seed: int,
     *,
     literal_means: bool = False,
@@ -306,10 +293,8 @@ def featurize_cohort(
     keyed, so the output is independent of input ordering.
     """
     ordered = sorted(cohort, key=lambda s: s.icustay_id)
-    hours = np.empty((len(ordered), WINDOW_HOURS, N_CHANNELS))
-    for x, stay in zip(hours, ordered):
-        x[...] = assemble_hourly(stay.icustay_id, events[stay.icustay_id],
-                                 global_seed, literal_urine_pick)
+    hours = bin_events(events, [s.icustay_id for s in ordered], global_seed,
+                       literal_urine_pick)
     fit = np.array([literal_means or splits[s.subject_id] == "train"
                     for s in ordered], dtype=bool)
     if not fit.any():

@@ -17,16 +17,12 @@ from typing import Optional
 from .errors import ConfigError
 from .tables import CsvInput, finite_float
 
-SUBROLES = (
-    "plain",
-    "gcs_verbal",
-    "gcs_motor",
-    "gcs_eyes",
-    "temp_f",
-    "temp_c",
-    "urine_in_irrigant",
-    "urine_out_irrigant",
-)
+# The subroles a channel's items may carry; other channels' items are plain.
+CHANNEL_SUBROLES = {
+    "GCS": ("gcs_verbal", "gcs_motor", "gcs_eyes"),
+    "TempF": ("temp_f", "temp_c"),
+    "UrineOutput": ("plain", "urine_in_irrigant", "urine_out_irrigant"),
+}
 
 SOURCE_TABLES = ("chartevents", "labevents", "outputevents")
 
@@ -67,13 +63,6 @@ class ItemRegistry:
         self.entries = entries
         self.item_table = item_table
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def items_for_channel(self, channel_name: str) -> list[int]:
-        return sorted(i for i, (c, _) in self.entries.items()
-                      if c.name == channel_name)
-
 
 def default_registry_path() -> Path:
     from importlib import resources
@@ -86,8 +75,8 @@ def load_registry(path: str | Path | None = None) -> ItemRegistry:
 
     Lines starting with ``#`` are comments. An unreadable file, a row with
     fewer than four fields or a non-integer item id, duplicate item ids,
-    unknown channels, and unknown subroles are configuration errors naming
-    the file and, for a row, its line.
+    unknown channels, and a subrole that does not fit its channel are
+    configuration errors naming the file and, for a row, its line.
     """
     path = Path(path) if path is not None else default_registry_path()
     entries: dict[int, tuple[FeatureChannel, str]] = {}
@@ -112,8 +101,9 @@ def load_registry(path: str | Path | None = None) -> ItemRegistry:
         channel_name, subrole, table = (f.strip() for f in row[1:4])
         if channel_name not in CHANNEL_BY_NAME:
             raise ConfigError(f"{where}: unknown channel {channel_name!r}")
-        if subrole not in SUBROLES:
-            raise ConfigError(f"{where}: unknown subrole {subrole!r}")
+        if subrole not in CHANNEL_SUBROLES.get(channel_name, ("plain",)):
+            raise ConfigError(f"{where}: subrole {subrole!r} does not fit "
+                              f"channel {channel_name}")
         if table not in SOURCE_TABLES:
             raise ConfigError(f"{where}: unknown table {table!r}")
         if item_id in entries:

@@ -43,6 +43,8 @@ def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         )
     if not np.all((labels == 0) | (labels == 1)):
         raise DataError("labels must be 0 or 1")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
     return scores, labels.astype(np.int64)
 
 
@@ -73,12 +75,13 @@ def prf1(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float]:
 def roc_curve_with_thresholds(
     scores: Sequence[float], labels: Sequence[int]
 ) -> list[tuple[float, float, Optional[float]]]:
-    """ROC points (fpr, tpr, threshold), threshold None on appended endpoints.
+    """ROC points (fpr, tpr, threshold), threshold None on the prepended (0,0).
 
     Thresholds sweep the distinct scores in descending order; all samples
     tied at one score enter together, so ties produce a single point and the
-    curve crosses any tie block along one diagonal segment. (0,0) is
-    prepended and (1,1) appended when the sweep does not already end there.
+    curve crosses any tie block along one diagonal segment. Every tie block
+    moves tp or fp, and the last one counts every sample, so the points are
+    distinct and end at (1,1).
     """
     scores, labels = _check_pair(scores, labels)
     n_pos = int(labels.sum())
@@ -86,23 +89,18 @@ def roc_curve_with_thresholds(
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC requires both classes present")
     order = np.argsort(-scores, kind="stable")
-    points: list[tuple[float, float, Optional[float]]] = [(0.0, 0.0, None)]
-    tp = fp = 0
-    idx = 0
-    while idx < scores.size:
-        value = scores[order[idx]]
-        while idx < scores.size and scores[order[idx]] == value:
-            if labels[order[idx]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            idx += 1
-        point = (fp / n_neg, tp / n_pos, float(value))
-        if (point[0], point[1]) != (points[-1][0], points[-1][1]):
-            points.append(point)
-    if (points[-1][0], points[-1][1]) != (1.0, 1.0):
-        points.append((1.0, 1.0, None))
-    return points
+    ranked = scores[order]
+    block_change = ranked[1:] != ranked[:-1]
+    # Read the running counts at the end of each tie block; its threshold is
+    # the block's first score.
+    ends = np.flatnonzero(np.append(block_change, True))
+    tp = np.cumsum(labels[order])[ends].tolist()
+    starts = np.flatnonzero(np.insert(block_change, 0, True))
+    thresholds = ranked[starts].tolist()
+    return [(0.0, 0.0, None)] + [
+        ((end + 1 - t) / n_neg, t / n_pos, thr)
+        for end, t, thr in zip(ends.tolist(), tp, thresholds)
+    ]
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]
@@ -160,7 +158,7 @@ def evaluate_scores(scores: Sequence[float], labels: Sequence[int],
 
 def write_roc_csv(path: str | Path, scores: Sequence[float],
                   labels: Sequence[int]) -> None:
-    """Export the ROC as ``fpr,tpr,threshold`` (blank on appended endpoints).
+    """Export the ROC as ``fpr,tpr,threshold`` (blank on the prepended (0,0)).
 
     When the labels hold one class there is no ROC, and only the header row
     is written.

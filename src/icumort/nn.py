@@ -330,4 +330,7 @@ def load_checkpoint(path: str | Path) -> LstmModel:
     found = [(l.w_x.shape, l.w_h.shape, l.b.shape) for l in layers]
     if h < 1 or found != expected or model.head_w.size <= h or model.head_b.size != 1:
         raise DataError(f"{path}: inconsistent tensor shapes")
+    for name, arr in named_params(model):
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: {name} holds a non-finite value")
     return model

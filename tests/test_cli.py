@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -555,6 +556,20 @@ def test_evaluate_reads_a_model_directory_as_one_error_line(
     assert main(["evaluate", "--work", str(work)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: cannot read {work / name}: Is a directory"]
+
+
+def test_evaluate_rejects_a_nan_checkpoint_weight_as_one_error_line(
+        reference_dir, tmp_path, capsys):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    path = work / "lstm_checkpoint.bin"
+    blob = path.read_bytes()
+    # The last 8 bytes hold the head bias.
+    path.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+    capsys.readouterr()
+    assert main(["evaluate", "--work", str(work)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {path}: head.b holds a non-finite value"]
 
 
 @pytest.mark.parametrize("content", ["{not json", "[1, 2]", b"\xff\xfe{}", None])

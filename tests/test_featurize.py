@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from array import array
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -9,20 +10,20 @@ import pytest
 from icumort.cohort import CohortStay, MEDICAL
 from icumort.errors import ConfigError, DataError
 from icumort.featurize import (
+    GCS_PART_SLOTS,
     FeatureTensor,
-    assemble_hourly,
-    bin_hourly,
-    bin_hourly_sum,
+    MatchedEvents,
+    bin_events,
     collect_stay_events,
     compute_population_stats,
     featurize_cohort,
     impute,
     read_features,
     static_vector,
-    to_fahrenheit,
     write_features,
 )
-from icumort.items import N_CHANNELS, load_registry
+from icumort.items import CHANNELS, N_CHANNELS, load_registry
+from icumort.seeding import SplitMix64, derive_seed
 
 T0 = datetime(2101, 1, 1)
 
@@ -47,55 +48,86 @@ def unobserved():
     return np.full((48, N_CHANNELS), np.nan)
 
 
+HEART_RATE, URINE = 2, 6
+
+
+def matched(*rows):
+    """A MatchedEvents record of (stay, slot, minute, value) rows in order."""
+    stay, slot, minute, value = zip(*rows) if rows else ((), (), (), ())
+    return MatchedEvents(array("q", stay), array("b", slot),
+                         array("i", minute), array("d", value))
+
+
 class TestToFahrenheit:
-    def test_celsius_conversion(self):
-        assert to_fahrenheit(37.0, "temp_c") == pytest.approx(98.6)
-        assert to_fahrenheit(0.0, "temp_c") == 32.0
+    def test_celsius_conversion(self, registry, tmp_path):
+        events = [_event(676, 60, 37.0), _event(223762, 120, 0.0)]
+        hours = binned_from_csv(tmp_path, make_stay(), events, registry, 1)
+        assert hours[1, 3] == pytest.approx(98.6)
+        assert hours[2, 3] == 32.0
 
-    def test_fahrenheit_passthrough(self):
-        assert to_fahrenheit(98.6, "temp_f") == 98.6
+    def test_fahrenheit_passthrough(self, registry, tmp_path):
+        hours = binned_from_csv(tmp_path, make_stay(), [_event(678, 60, 98.6)],
+                                registry, 1)
+        assert hours[1, 3] == 98.6
 
-    def test_other_subrole_rejected(self):
-        with pytest.raises(ConfigError):
-            to_fahrenheit(1.0, "plain")
+    def test_other_subrole_rejected(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text("item_id,channel,subrole,source_table\n"
+                        "678,TempF,plain,chartevents\n")
+        with pytest.raises(ConfigError, match="does not fit channel TempF"):
+            load_registry(path)
 
 
 class TestBinHourly:
     def test_single_event_lands_in_its_hour(self):
-        slots = bin_hourly([(3 * 60 + 15, 80.0)], seed=1)
-        assert slots[3] == 80.0
-        assert all(math.isnan(s) for i, s in enumerate(slots) if i != 3)
+        hours = bin_events(matched((1, HEART_RATE, 3 * 60 + 15, 80.0)), [1], 1)
+        assert hours.shape == (1, 48, N_CHANNELS)
+        assert hours[0, 3, HEART_RATE] == 80.0
+        hours[0, 3, HEART_RATE] = np.nan
+        assert np.isnan(hours).all()
 
     def test_duplicate_hour_pick_is_deterministic(self):
-        events = [(5 * 60 + 1, 10.0), (5 * 60 + 40, 20.0)]
-        first = bin_hourly(events, seed=7)[5]
+        events = [(1, HEART_RATE, 5 * 60 + 1, 10.0),
+                  (1, HEART_RATE, 5 * 60 + 40, 20.0)]
+        first = bin_events(matched(*events), [1], 7)[0, 5, HEART_RATE]
         assert first in (10.0, 20.0)
-        assert bin_hourly(events, seed=7)[5] == first
-        assert bin_hourly(list(reversed(events)), seed=7)[5] == first
+        assert bin_events(matched(*events), [1], 7)[0, 5, HEART_RATE] == first
+        assert bin_events(matched(*reversed(events)), [1],
+                          7)[0, 5, HEART_RATE] == first
 
     def test_pick_varies_with_seed(self):
-        events = [(0, float(v)) for v in range(10)]
-        picks = {bin_hourly(events, seed=s)[0] for s in range(30)}
+        events = matched(*((1, HEART_RATE, 0, float(v)) for v in range(10)))
+        picks = {bin_events(events, [1], s)[0, 0, HEART_RATE]
+                 for s in range(30)}
         assert len(picks) > 1
 
-    def test_event_at_window_end_is_ignored(self):
-        assert all(map(math.isnan, bin_hourly([(48 * 60, 1.0)], seed=1)))
+    def test_event_at_window_end_is_ignored(self, registry, tmp_path):
+        hours = binned_from_csv(tmp_path, make_stay(),
+                                [_event(211, 48 * 60, 1.0)], registry, 1)
+        assert np.isnan(hours).all()
 
     def test_sum_binning_adds_volumes(self):
-        slots = bin_hourly_sum([(120, 100.0), (130, 50.0), (300, 30.0)])
+        events = matched((1, URINE, 120, 100.0), (1, URINE, 130, 50.0),
+                         (1, URINE, 300, 30.0))
+        slots = bin_events(events, [1], 1)[0, :, URINE]
         assert slots[2] == 150.0
         assert slots[5] == 30.0
         assert math.isnan(slots[0])
 
+    def test_other_stays_events_are_ignored(self):
+        events = matched((1, HEART_RATE, 0, 70.0), (2, HEART_RATE, 0, 80.0),
+                         (3, HEART_RATE, 0, 90.0))
+        hours = bin_events(events, [1, 3], 1)
+        assert list(hours[:, 0, HEART_RATE]) == [70.0, 90.0]
+
 
 def gcs_hours(verbal, motor, eyes):
-    """The GCS column assembled from {hour: value} events of each component."""
-    stay_events = [[] for _ in range(N_CHANNELS)]
-    for subrole, values in (("gcs_verbal", verbal), ("gcs_motor", motor),
-                            ("gcs_eyes", eyes)):
-        stay_events[0] += [(hour * 60 + 5, value, subrole)
-                           for hour, value in values.items()]
-    return assemble_hourly(1, stay_events, global_seed=3)[:, 0]
+    """The GCS column binned from {hour: value} events of each component."""
+    rows = [(1, slot, hour * 60 + 5, value)
+            for slot, values in zip(GCS_PART_SLOTS.values(),
+                                    (verbal, motor, eyes))
+            for hour, value in values.items()]
+    return bin_events(matched(*rows), [1], global_seed=3)[0, :, 0]
 
 
 class TestAggregateGcs:
@@ -189,18 +221,18 @@ class TestPopulationStats:
             compute_population_stats(hours, ages=[40.0])
 
 
-def observing(value):
-    """Stay events that observe every channel once, at hour 0, at value."""
-    stay_events = [[(0, value, "plain")] for _ in range(N_CHANNELS)]
-    stay_events[0] = [(0, value - 2.0, "gcs_verbal"), (0, 1.0, "gcs_motor"),
-                      (0, 1.0, "gcs_eyes")]
-    stay_events[3] = [(0, value, "temp_f")]
-    return stay_events
+def observing(stay_id, value):
+    """Event rows that observe every channel once, at hour 0, at value."""
+    verbal, motor, eyes = GCS_PART_SLOTS.values()
+    return [(stay_id, slot, 0, value) for slot in range(1, N_CHANNELS)] + [
+        (stay_id, verbal, 0, value - 2.0), (stay_id, motor, 0, 1.0),
+        (stay_id, eyes, 0, 1.0)]
 
 
 def featurize_values(stays, values, splits, **options):
     """featurize_cohort over stays that each observe every channel at a value."""
-    events = {s.icustay_id: observing(v) for s, v in zip(stays, values)}
+    events = matched(*(row for s, v in zip(stays, values)
+                       for row in observing(s.icustay_id, v)))
     splits = {s.subject_id: split for s, split in zip(stays, splits)}
     return featurize_cohort(stays, splits, events, global_seed=1, **options)
 
@@ -275,12 +307,16 @@ def write_events(data_dir, registry, events):
             writer.writerows(rows)
 
 
+def binned_from_csv(data_dir, stay, events, registry, global_seed):
+    """One stay's pre-imputation hours by the pipeline's path from CSVs."""
+    write_events(data_dir, registry, events)
+    found, _ = collect_stay_events(data_dir, [stay], registry)
+    return bin_events(found, [stay.icustay_id], global_seed)[0]
+
+
 def hours_from_csv(data_dir, stay, events, registry, global_seed, mean=0.0):
     """One stay's imputed hours by the pipeline's path from event CSVs."""
-    write_events(data_dir, registry, events)
-    bucketed, _ = collect_stay_events(data_dir, [stay], registry)
-    hours = assemble_hourly(stay.icustay_id, bucketed[stay.icustay_id],
-                            global_seed)
+    hours = binned_from_csv(data_dir, stay, events, registry, global_seed)
     return impute(hours, np.full(N_CHANNELS, mean))
 
 
@@ -363,10 +399,9 @@ _BAD_TIME[4] = "not a time"
 
 
 @pytest.mark.parametrize("row, counter, bucket", [
-    (_event(211, 60, 80.0), "events_matched", (2, [(60, 80.0, "plain")])),
+    (_event(211, 60, 80.0), "events_matched", (2, 60, 80.0)),
     # Lab rows carry no stay id: the admission id names the stay.
-    (_event(51006, 600, 20.0, stay_id=None), "events_matched",
-     (7, [(600, 20.0, "plain")])),
+    (_event(51006, 600, 20.0, stay_id=None), "events_matched", (7, 600, 20.0)),
     (_event(999999, 60, 1.0), "events_unlisted_item", None),
     (_event(211, 60, 80.0, stay_id=999), "events_outside_cohort", None),
     (_event(51006, 600, 20.0, stay_id=None, hadm_id=77),
@@ -388,27 +423,125 @@ def test_collect_counts_each_row_once(registry, tmp_path, row, counter,
     assert counts == {name: int(name in ("events_read", counter))
                       for name in counts}
     assert len(counts) == 7
-    expected = [[] for _ in range(N_CHANNELS)]
-    if bucket is not None:
-        expected[bucket[0]] = bucket[1]
-    assert events == {100: expected, 200: [[] for _ in range(N_CHANNELS)]}
+    assert events == (matched() if bucket is None else matched((100, *bucket)))
 
 
-def test_assemble_hourly_gcs_partial_components():
-    stay_events = [[] for _ in range(N_CHANNELS)]
-    stay_events[0] = [
-        (10, 5.0, "gcs_verbal"),
-        (20, 6.0, "gcs_motor"),
+def test_gcs_partial_components():
+    verbal, motor, eyes = GCS_PART_SLOTS.values()
+    events = matched(
+        (1, verbal, 10, 5.0),
+        (1, motor, 20, 6.0),
         # eyes missing in hour 0
-        (70, 4.0, "gcs_verbal"),
-        (80, 6.0, "gcs_motor"),
-        (90, 4.0, "gcs_eyes"),
-    ]
-    hours = assemble_hourly(1, stay_events, global_seed=3)
+        (1, verbal, 70, 4.0),
+        (1, motor, 80, 6.0),
+        (1, eyes, 90, 4.0),
+    )
+    hours = bin_events(events, [1], global_seed=3)[0]
     assert hours.shape == (48, N_CHANNELS)
     assert np.isnan(hours[0, 0])
     assert hours[1, 0] == 14.0
     assert np.isnan(hours[:, 1:]).all()
+
+
+# The per-column loop binning that bin_events replaced, kept as a reference:
+# per-stay lists of (minute, value, subrole) tuples for each channel.
+def reference_bin_hourly(events, seed):
+    per_hour = [[] for _ in range(48)]
+    for minute, value in events:
+        per_hour[minute // 60].append((minute, value))
+    slots = [math.nan] * 48
+    for hour, candidates in enumerate(per_hour):
+        if len(candidates) == 1:
+            slots[hour] = candidates[0][1]
+        elif candidates:
+            candidates.sort()
+            pick = SplitMix64(derive_seed(seed, hour)).randbelow(len(candidates))
+            slots[hour] = candidates[pick][1]
+    return slots
+
+
+def reference_bin_hourly_sum(events):
+    slots = [math.nan] * 48
+    for minute, value in events:
+        hour = minute // 60
+        slots[hour] = value if math.isnan(slots[hour]) else slots[hour] + value
+    return slots
+
+
+def reference_assemble_hourly(stay_id, stay_events, global_seed,
+                              literal_urine_pick):
+    columns = []
+    for channel in CHANNELS:
+        events = stay_events[channel.channel_index]
+        base_seed = derive_seed(global_seed, "featurize", stay_id,
+                                channel.channel_index)
+        if channel.name == "GCS":
+            verbal, motor, eyes = (
+                reference_bin_hourly([(m, v) for m, v, r in events
+                                      if r == subrole],
+                                     derive_seed(base_seed, k + 1))
+                for k, subrole in enumerate(GCS_PART_SLOTS))
+            columns.append([v + m + e for v, m, e in zip(verbal, motor, eyes)])
+        elif channel.name == "TempF":
+            converted = [(m, v * 9.0 / 5.0 + 32.0 if r == "temp_c" else v)
+                         for m, v, r in events]
+            columns.append(reference_bin_hourly(converted, base_seed))
+        elif channel.name == "UrineOutput":
+            signed = [(m, -v if r == "urine_in_irrigant" else v)
+                      for m, v, r in events]
+            columns.append(reference_bin_hourly(signed, base_seed)
+                           if literal_urine_pick
+                           else reference_bin_hourly_sum(signed))
+        else:
+            columns.append(reference_bin_hourly([(m, v) for m, v, _ in events],
+                                                base_seed))
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("literal_urine_pick", [False, True])
+def test_bin_events_matches_a_loop_reference(registry, tmp_path,
+                                             literal_urine_pick):
+    rng = np.random.default_rng(5)
+    items = sorted(registry.entries)
+    eyes = [i for i in items if registry.entries[i][1] == "gcs_eyes"]
+    table_order = ["chartevents", "labevents", "outputevents"]
+    stays = [make_stay(stay_id) for stay_id in (300, 100, 200)]
+    gcs_observed = False
+    for density in (0.1, 1.0, 4.0, 12.0):
+        rows = []
+        for stay in stays:
+            # Stay 200 drops every coma-score eyes item.
+            allowed = [i for i in items
+                       if stay.icustay_id != 200 or i not in eyes]
+            # Few distinct hours and minutes, so cells hold several values
+            # and candidates tie on minute.
+            hours = rng.integers(0, 48, size=4)
+            for _ in range(int(density * 48)):
+                minute = int(rng.choice(hours)) * 60 + int(rng.integers(0, 3))
+                value = round(float(rng.random()) * 4.0, 1)
+                rows.append((int(rng.choice(allowed)), minute, value,
+                             stay.icustay_id))
+        data = tmp_path / f"density{density}"
+        write_events(data, registry, [_event(item, minute, value, stay_id=sid)
+                                      for item, minute, value, sid in rows])
+        found, _ = collect_stay_events(data, stays, registry)
+        ids = [100, 200, 300]
+        seed = int(rng.integers(0, 2**32))
+        binned = bin_events(found, ids, seed, literal_urine_pick)
+        # Collection reads the chart, lab and output tables in that order.
+        rows.sort(key=lambda r: table_order.index(registry.item_table[r[0]]))
+        stay_events = {sid: [[] for _ in range(N_CHANNELS)] for sid in ids}
+        for item, minute, value, sid in rows:
+            channel, subrole = registry.entries[item]
+            stay_events[sid][channel.channel_index].append(
+                (minute, value, subrole))
+        reference = np.stack([
+            reference_assemble_hourly(sid, stay_events[sid], seed,
+                                      literal_urine_pick) for sid in ids])
+        assert binned.tobytes() == reference.tobytes(), density
+        assert np.isnan(binned[1, :, 0]).all()
+        gcs_observed |= not np.isnan(binned[:, :, 0]).all()
+    assert gcs_observed
 
 
 def constant_tensor(stay_id, label):

@@ -23,8 +23,9 @@ def test_thirteen_channels_with_unique_contiguous_indices():
 
 def test_registry_covers_every_listed_item_exactly_once(registry):
     # 59 ids across the 13 channels; uniqueness is enforced at load time.
-    assert len(registry) == 59
-    per_channel = {c.name: registry.items_for_channel(c.name) for c in CHANNELS}
+    assert len(registry.entries) == 59
+    per_channel = {c.name: [i for i, (channel, _) in registry.entries.items()
+                            if channel == c] for c in CHANNELS}
     assert sum(len(v) for v in per_channel.values()) == 59
     assert len(per_channel["UrineOutput"]) == 26
     assert len(per_channel["GCS"]) == 6

@@ -100,6 +100,39 @@ class TestRocCurve:
         with pytest.raises(DataError):
             roc_curve([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DataError, match="scores must be finite"):
+            roc_curve([0.1, bad, 0.3], [1, 0, 1])
+        with pytest.raises(DataError, match="scores must be finite"):
+            evaluate_scores([0.1, bad, 0.3], [1, 0, 1])
+
+    def test_matches_a_loop_reference(self):
+        def reference(scores, labels):
+            # One tie block at a time, in descending score order.
+            order = np.argsort(-scores, kind="stable")
+            n_pos = int(labels.sum())
+            n_neg = labels.size - n_pos
+            points, tp, fp, idx = [(0.0, 0.0, None)], 0, 0, 0
+            while idx < scores.size:
+                value = scores[order[idx]]
+                while idx < scores.size and scores[order[idx]] == value:
+                    tp += int(labels[order[idx]])
+                    fp += 1 - int(labels[order[idx]])
+                    idx += 1
+                points.append((fp / n_neg, tp / n_pos, float(value)))
+            return points
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            size = int(rng.integers(2, 40))
+            labels = rng.integers(0, 2, size=size)
+            labels[:2] = [0, 1]
+            # Rounding to 0-2 decimals gives tie blocks of every size.
+            scores = rng.random(size).round(int(rng.integers(0, 3)))
+            assert (roc_curve_with_thresholds(scores, labels)
+                    == reference(scores, labels))
+
 
 class TestAuc:
     def test_perfect_ranking(self):

@@ -10,7 +10,7 @@ from icumort import synth
 from icumort.cohort import DAYS_PER_YEAR, build_cohort
 from icumort.errors import ConfigError
 from icumort.featurize import collect_stay_events
-from icumort.items import CHANNEL_BY_NAME, load_registry
+from icumort.items import CHANNEL_BY_NAME, N_CHANNELS, load_registry
 from icumort.synth import (
     SynthConfig,
     describe,
@@ -386,14 +386,26 @@ def _readmission_patients(real_sample_patients):
     return sample
 
 
+def _channel(slot: int) -> int:
+    """The channel of a matched-event slot: coma-score parts are channel 0."""
+    return slot if slot < N_CHANNELS else 0
+
+
+# The value to write so that collection's unit and sign rules give back v.
+_UNDO_VALUE_RULE = {"temp_c": lambda v: (v - 32) * 5 / 9,
+                    "urine_in_irrigant": lambda v: -v}
+
+
 def _featurize_attribution(data_dir: Path, entries, scratch: Path):
     """(stay, channel, hour) that featurization gives each (table, row id).
 
     The rows named by ``entries`` are copied alone into ``scratch``, each
-    with its index as its value, and run through ``collect_stay_events``;
-    a row it does not attribute is absent from the result.
+    with its index as its collected value, and run through
+    ``collect_stay_events``; a row it does not attribute is absent from the
+    result.
     """
     marker = {key: i for i, key in enumerate(sorted(set(entries)))}
+    registry = load_registry()
     scratch.mkdir()
     for name in EVENT_TABLES:
         with open(data_dir / f"{name}.csv", newline="") as src, \
@@ -404,16 +416,15 @@ def _featurize_attribution(data_dir: Path, entries, scratch: Path):
             for row in reader:
                 i = marker.get((name, int(row["ROW_ID"])))
                 if i is not None:
-                    row["VALUE"] = str(i)
+                    subrole = registry.entries[int(row["ITEMID"])][1]
+                    row["VALUE"] = str(_UNDO_VALUE_RULE.get(subrole, int)(i))
                     if "VALUENUM" in row:
-                        row["VALUENUM"] = str(i)
+                        row["VALUENUM"] = row["VALUE"]
                     writer.writerow(row)
-    found, _ = collect_stay_events(scratch, _cohort_of(data_dir), load_registry())
+    found, _ = collect_stay_events(scratch, _cohort_of(data_dir), registry)
     keys = {i: key for key, i in marker.items()}
-    return {keys[int(value)]: (stay, channel, minute // 60)
-            for stay, channels in found.items()
-            for channel, events in enumerate(channels)
-            for minute, value, _ in events}
+    return {keys[round(value)]: (stay, _channel(slot), minute // 60)
+            for stay, slot, minute, value in zip(*found)}
 
 
 def _cohort_of(data_dir: Path):
@@ -459,7 +470,9 @@ def test_every_manifest_entry_matches_featurize(tmp_path, monkeypatch,
         assert span["removed"] > 0
         lo = span["start_hour"] * 60
         hi = lo + span["length"] * 60
-        minutes = [m for m, _, _ in events[span["stay"]][span["channel"]]]
+        minutes = [m for stay, slot, m in zip(events.stay, events.slot,
+                                              events.minute)
+                   if (stay, _channel(slot)) == (span["stay"], span["channel"])]
         assert not [m for m in minutes if lo <= m < hi], span
     if fixture == "trend":
         assert injections["missing_span"]
