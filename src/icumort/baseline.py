@@ -18,7 +18,10 @@ import numpy as np
 
 from .adam import AdamState, adam_step
 from .errors import ConfigError, DataError
+from .featurize import STATIC_FEATURES
+from .items import N_CHANNELS
 from .nn import sigmoid
+from .tables import finite_float, read_artifact
 
 MAX_ITERATIONS = 500
 PLATEAU_ITERATIONS = 300
@@ -56,6 +59,12 @@ def lr_gradients(weights: np.ndarray, bias: float, features: np.ndarray,
     return grad_w, grad_b
 
 
+def check_lambda(lam: float) -> None:
+    """Reject an L2 weight that is negative, nan or infinite."""
+    if not 0.0 <= lam < math.inf:  # false for nan as well
+        raise ConfigError(f"l2_lambda must be finite and nonnegative, got {lam}")
+
+
 def train_lr(features: np.ndarray, labels: np.ndarray, lam: float = 1.0
              ) -> LrModel:
     """Fit the baseline; deterministic (zero init, fixed schedule).
@@ -71,8 +80,7 @@ def train_lr(features: np.ndarray, labels: np.ndarray, lam: float = 1.0
         raise ConfigError("need at least two samples to fit")
     if len(set(labels.tolist())) < 2:
         raise DataError("labels are single-class; cannot fit a classifier")
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
+    check_lambda(lam)
 
     weights = np.zeros(features.shape[1])
     bias = np.zeros(1)
@@ -97,9 +105,7 @@ def predict_lr(model: LrModel, features: np.ndarray) -> np.ndarray:
     return sigmoid(features @ model.weights + model.bias)
 
 
-_COEF_NAMES = [f"seq_c{i}_h47" for i in range(13)] + [
-    "age_s", "cat_ss", "cat_us", "cat_med", "aids", "hem", "met",
-]
+_COEF_NAMES = [f"seq_c{i}_h47" for i in range(N_CHANNELS)] + list(STATIC_FEATURES)
 
 
 def save_lr(model: LrModel, path: str | Path, seed: int) -> None:
@@ -112,13 +118,7 @@ def save_lr(model: LrModel, path: str | Path, seed: int) -> None:
 
 
 def load_lr(path: str | Path) -> LrModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing checkpoint file: expected {path}")
-    try:
-        text = path.read_bytes().decode("utf-8", errors="replace")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    text = read_artifact(path).decode("utf-8", errors="replace")
     values: dict[str, float] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
@@ -128,11 +128,8 @@ def load_lr(path: str | Path) -> LrModel:
             raise DataError(f"{path}:{lineno}: expected 'name value', "
                             f"got {line!r}")
         key, raw = fields
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
+        value = finite_float(raw)
+        if value is None:
             raise DataError(f"{path}:{lineno}: {key} is not a finite "
                             f"number: {raw!r}")
         values[key] = value

@@ -246,6 +246,7 @@ def stage_train(args: dict) -> None:
     config = _config_from_args(TrainConfig, args,
                                seed=derive_seed(args["seed"], "train-stage"))
     config.validate()
+    baseline.check_lambda(args["l2_lambda"])
     tensors, split_by_stay = featurize.read_features(work_dir)
     feature_stats = _read_population_stats(work_dir)
     train_data = _split_arrays(tensors, split_by_stay, "train")
@@ -280,13 +281,13 @@ def stage_train(args: dict) -> None:
 
 def _read_population_stats(work_dir: Path) -> dict:
     """The featurize stage's population_stats.json; {} where it is absent."""
+    from .tables import read_artifact
+
     path = work_dir / "population_stats.json"
     if not path.exists():
         return {}
     try:
-        stats = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        stats = json.loads(read_artifact(path).decode("utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(stats, dict):
@@ -363,8 +364,11 @@ def stage_evaluate(args: dict) -> None:
 
 
 def render_comparison(model_reports: list[tuple[str, EvalReport]],
-                      csv_path: Path | None = None) -> str:
-    """Fixed-order model table (3 decimals) on the test split."""
+                      csv_path: Path) -> str:
+    """Fixed-order model table (3 decimals) on the test split, also written
+    to ``csv_path``."""
+    from .tables import write_artifact_rows
+
     if not model_reports:
         raise ConfigError("no evaluation reports to render")
     header = ["Model", "Precision", "Recall", "F1", "AUC"]
@@ -373,9 +377,7 @@ def render_comparison(model_reports: list[tuple[str, EvalReport]],
          f"{r.f1:.3f}", f"{r.auc:.3f}"]
         for name, r in model_reports
     ]
-    if csv_path is not None:
-        csv_lines = [",".join(header)] + [",".join(row) for row in rows]
-        Path(csv_path).write_text("\n".join(csv_lines) + "\n")
+    write_artifact_rows(csv_path, header, rows)
     widths = [max(len(str(row[i])) for row in [header] + rows)
               for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]

@@ -9,7 +9,6 @@ stay, with a portable seeded shuffle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -27,6 +26,7 @@ from .tables import (
     StayRow,
     parse_timestamp,
     read_artifact_rows,
+    write_artifact_rows,
 )
 
 DAYS_PER_YEAR = 365.2425
@@ -307,23 +307,13 @@ _COHORT_HEADER = [
 
 def write_cohort_csv(path: str | Path, cohort: Sequence[CohortStay],
                      split: Mapping[int, str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COHORT_HEADER)
-        for s in sorted(cohort, key=lambda s: s.icustay_id):
-            writer.writerow([
-                s.icustay_id,
-                s.subject_id,
-                s.hadm_id,
-                s.intime.strftime(TS_FORMAT),
-                f"{s.age_years:.9g}",
-                s.admission_category,
-                int(s.aids),
-                int(s.hematologic_malignancy),
-                int(s.metastatic_cancer),
-                int(s.label_mortality),
-                split[s.subject_id],
-            ])
+    write_artifact_rows(path, _COHORT_HEADER, (
+        [s.icustay_id, s.subject_id, s.hadm_id, s.intime.strftime(TS_FORMAT),
+         s.age_years, s.admission_category, int(s.aids),
+         int(s.hematologic_malignancy), int(s.metastatic_cancer),
+         int(s.label_mortality), split[s.subject_id]]
+        for s in sorted(cohort, key=lambda s: s.icustay_id)
+    ))
 
 
 def parse_bit(text: str) -> bool:
@@ -342,32 +332,36 @@ def parse_split(text: str) -> str:
 def read_cohort_csv(path: str | Path) -> tuple[list[CohortStay], dict[int, str]]:
     """Read a cohort file back; returns (stays, split by subject_id).
 
-    A row that cannot have been written by ``write_cohort_csv`` raises
-    DataError naming the file and line.
+    A row that cannot have been written by ``write_cohort_csv``, a repeated
+    stay or patient included, raises DataError naming the file and line.
     """
-    stays: list[CohortStay] = []
+    stays: dict[int, CohortStay] = {}
     splits: dict[int, str] = {}
-    try:
-        for line, row in read_artifact_rows(path, _COHORT_HEADER):
-            (icustay_id, subject_id, hadm_id, intime, age, category, aids,
-             hem_malig, metastatic, label, split) = row
-            if category not in ADMISSION_CATEGORIES:
-                raise ValueError(f"unknown admission category {category!r}")
-            stay = CohortStay(
-                icustay_id=int(icustay_id),
-                subject_id=int(subject_id),
-                hadm_id=int(hadm_id),
-                intime=parse_timestamp(intime),
-                outtime=None,
-                age_years=float(age),
-                admission_category=category,
-                aids=parse_bit(aids),
-                hematologic_malignancy=parse_bit(hem_malig),
-                metastatic_cancer=parse_bit(metastatic),
-                label_mortality=parse_bit(label),
-            )
-            stays.append(stay)
-            splits[stay.subject_id] = parse_split(split)
-    except ValueError as exc:
-        raise DataError(f"{path}:{line}: {exc}") from exc
-    return stays, splits
+
+    def parse_row(row: list[str]) -> None:
+        (icustay_id, subject_id, hadm_id, intime, age, category, aids,
+         hem_malig, metastatic, label, split) = row
+        if category not in ADMISSION_CATEGORIES:
+            raise ValueError(f"unknown admission category {category!r}")
+        stay = CohortStay(
+            icustay_id=int(icustay_id),
+            subject_id=int(subject_id),
+            hadm_id=int(hadm_id),
+            intime=parse_timestamp(intime),
+            outtime=None,
+            age_years=float(age),
+            admission_category=category,
+            aids=parse_bit(aids),
+            hematologic_malignancy=parse_bit(hem_malig),
+            metastatic_cancer=parse_bit(metastatic),
+            label_mortality=parse_bit(label),
+        )
+        if stay.icustay_id in stays:
+            raise ValueError(f"repeated icustay_id {stay.icustay_id}")
+        if stay.subject_id in splits:
+            raise ValueError(f"repeated subject_id {stay.subject_id}")
+        stays[stay.icustay_id] = stay
+        splits[stay.subject_id] = parse_split(split)
+
+    read_artifact_rows(path, _COHORT_HEADER, parse_row)
+    return list(stays.values()), splits

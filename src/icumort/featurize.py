@@ -23,7 +23,6 @@ standardization of sequential values and age is on by default.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -45,7 +44,8 @@ from .errors import ConfigError, DataError
 from .items import (CHANNEL_BY_NAME, CHANNELS, N_CHANNELS, ItemRegistry,
                     parse_numeric, resolve_item)
 from .seeding import SplitMix64, derive_seed
-from .tables import parse_table, read_artifact_rows, table_path, EVENT_SCHEMAS
+from .tables import (EVENT_SCHEMAS, finite_float, parse_table,
+                     read_artifact_rows, table_path, write_artifact_rows)
 
 WINDOW_HOURS = 48
 WINDOW_MINUTES = WINDOW_HOURS * 60
@@ -321,41 +321,28 @@ def featurize_cohort(
 
 
 _SEQ_HEADER = ["stay_id", "hour"] + [f"c{i}" for i in range(N_CHANNELS)]
-_STATIC_HEADER = ["stay_id", "age_s", "cat_ss", "cat_us", "cat_med",
-                  "aids", "hem", "met", "label", "split"]
+STATIC_FEATURES = ("age_s", "cat_ss", "cat_us", "cat_med", "aids", "hem", "met")
+_STATIC_HEADER = ["stay_id", *STATIC_FEATURES, "label", "split"]
 
 
 def write_features(out_dir: str | Path, tensors: Sequence[FeatureTensor],
-                   split_by_stay: Mapping[int, str]) -> tuple[Path, Path]:
-    """Write the two feature CSVs (9 significant digits, stay-id order)."""
-    out_dir = Path(out_dir)
-    seq_path = out_dir / "features_seq.csv"
-    static_path = out_dir / "features_static.csv"
+                   split_by_stay: Mapping[int, str]) -> None:
+    """Write the two feature CSVs (stay-id order)."""
     ordered = sorted(tensors, key=lambda t: t.stay_id)
-    with open(seq_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SEQ_HEADER)
-        for t in ordered:
-            for hour in range(WINDOW_HOURS):
-                writer.writerow(
-                    [t.stay_id, hour] + [f"{v:.9g}" for v in t.seq[hour]]
-                )
-    with open(static_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_STATIC_HEADER)
-        for t in ordered:
-            writer.writerow(
-                [t.stay_id]
-                + [f"{v:.9g}" for v in t.static]
-                + [t.label, split_by_stay[t.stay_id]]
-            )
-    return seq_path, static_path
+    write_artifact_rows(Path(out_dir) / "features_seq.csv", _SEQ_HEADER, (
+        [t.stay_id, hour, *values]
+        for t in ordered for hour, values in enumerate(t.seq.tolist())
+    ))
+    write_artifact_rows(Path(out_dir) / "features_static.csv", _STATIC_HEADER, (
+        [t.stay_id, *t.static.tolist(), t.label, split_by_stay[t.stay_id]]
+        for t in ordered
+    ))
 
 
 def _finite_floats(fields: Sequence[str]) -> list[float]:
-    values = [float(v) for v in fields]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite value")
+    values = [finite_float(v) for v in fields]
+    if None in values:
+        raise ValueError(f"not a finite number: {fields[values.index(None)]!r}")
     return values
 
 
@@ -372,42 +359,38 @@ def read_features(work_dir: str | Path
     seq_path = work_dir / "features_seq.csv"
     static_path = work_dir / "features_static.csv"
     seq_by_stay: dict[int, np.ndarray] = {}
-    try:
-        for line, row in read_artifact_rows(seq_path, _SEQ_HEADER):
-            stay_id, hour = int(row[0]), int(row[1])
-            if not 0 <= hour < WINDOW_HOURS:
-                raise ValueError(f"hour {hour} is outside 0-{WINDOW_HOURS - 1}")
-            seq = seq_by_stay.get(stay_id)
-            if seq is None:
-                seq = seq_by_stay[stay_id] = np.full(
-                    (WINDOW_HOURS, N_CHANNELS), np.nan
-                )
-            elif not math.isnan(seq[hour, 0]):
-                raise ValueError(f"repeated hour {hour} of stay {stay_id}")
-            seq[hour] = _finite_floats(row[2:])
-    except ValueError as exc:
-        raise DataError(f"{seq_path}:{line}: {exc}") from exc
+
+    def parse_seq_row(row: list[str]) -> None:
+        stay_id, hour = int(row[0]), int(row[1])
+        if not 0 <= hour < WINDOW_HOURS:
+            raise ValueError(f"hour {hour} is outside 0-{WINDOW_HOURS - 1}")
+        seq = seq_by_stay.get(stay_id)
+        if seq is None:
+            seq = seq_by_stay[stay_id] = np.full(
+                (WINDOW_HOURS, N_CHANNELS), np.nan
+            )
+        elif not math.isnan(seq[hour, 0]):
+            raise ValueError(f"repeated hour {hour} of stay {stay_id}")
+        seq[hour] = _finite_floats(row[2:])
+
+    read_artifact_rows(seq_path, _SEQ_HEADER, parse_seq_row)
     tensors: list[FeatureTensor] = []
     split_by_stay: dict[int, str] = {}
-    try:
-        for line, row in read_artifact_rows(static_path, _STATIC_HEADER):
-            stay_id = int(row[0])
-            seq = seq_by_stay.get(stay_id)
-            if stay_id in split_by_stay:
-                raise ValueError(f"repeated stay {stay_id}")
-            if seq is None or np.isnan(seq).any():
-                raise ValueError(f"incomplete hourly rows for stay {stay_id}")
-            tensors.append(
-                FeatureTensor(
-                    stay_id=stay_id,
-                    seq=seq,
-                    static=np.array(_finite_floats(row[1:8])),
-                    label=int(parse_bit(row[8])),
-                )
-            )
-            split_by_stay[stay_id] = parse_split(row[9])
-    except ValueError as exc:
-        raise DataError(f"{static_path}:{line}: {exc}") from exc
+
+    def parse_static_row(row: list[str]) -> None:
+        stay_id, *static, label, split = row
+        stay_id = int(stay_id)
+        seq = seq_by_stay.get(stay_id)
+        if stay_id in split_by_stay:
+            raise ValueError(f"repeated stay {stay_id}")
+        if seq is None or np.isnan(seq).any():
+            raise ValueError(f"incomplete hourly rows for stay {stay_id}")
+        tensors.append(FeatureTensor(stay_id=stay_id, seq=seq,
+                                     static=np.array(_finite_floats(static)),
+                                     label=int(parse_bit(label))))
+        split_by_stay[stay_id] = parse_split(split)
+
+    read_artifact_rows(static_path, _STATIC_HEADER, parse_static_row)
     if len(tensors) != len(seq_by_stay):
         raise DataError(f"{seq_path} holds stays that {static_path} lacks")
     return tensors, split_by_stay

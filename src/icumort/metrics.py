@@ -8,7 +8,6 @@ single ROC point, so both routes agree to machine precision.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -16,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .tables import write_artifact_rows
 
 
 @dataclass
@@ -166,14 +166,7 @@ def write_roc_csv(path: str | Path, scores: Sequence[float],
     scores, labels = _check_pair(scores, labels)
     points = (roc_curve_with_thresholds(scores, labels)
               if _both_classes(labels) else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, thr in points:
-            writer.writerow([
-                f"{fpr:.9g}", f"{tpr:.9g}",
-                "" if thr is None else f"{thr:.9g}",
-            ])
+    write_artifact_rows(path, ["fpr", "tpr", "threshold"], points)
 
 
 _REPORT_HEADER = [
@@ -185,13 +178,8 @@ _REPORT_HEADER = [
 def write_report_csv(path: str | Path,
                      reports: Sequence[tuple[str, str, EvalReport]]) -> None:
     """One row per (model, split) with all scalar report fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_HEADER)
-        for model, split, r in reports:
-            writer.writerow([
-                model, split, r.n, r.positives, f"{r.threshold:.9g}",
-                r.tp, r.fp, r.tn, r.fn,
-                f"{r.precision:.9g}", f"{r.recall:.9g}",
-                f"{r.f1:.9g}", f"{r.auc:.9g}",
-            ])
+    write_artifact_rows(path, _REPORT_HEADER, (
+        [model, split, r.n, r.positives, r.threshold, r.tp, r.fp, r.tn, r.fn,
+         r.precision, r.recall, r.f1, r.auc]
+        for model, split, r in reports
+    ))

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .tables import read_artifact
 
 N_FEATURES = 13
 N_STATIC = 7
@@ -299,13 +300,7 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> LstmModel:
     """Read a save_checkpoint file; any malformed content is a DataError."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing checkpoint file: expected {path}")
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    blob = read_artifact(path)
     buf = io.BytesIO(blob)
     if buf.read(len(MAGIC)) != MAGIC:
         raise DataError(f"{path}: not a model checkpoint (bad magic)")

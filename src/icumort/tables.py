@@ -1,4 +1,4 @@
-"""Streaming CSV ingestion for MIMIC-shaped tables.
+"""Streaming CSV ingestion for MIMIC-shaped tables, and the artifact format.
 
 Tables arrive as plain or gzipped CSV files with a header row. Column names
 are matched case-insensitively and extra columns are ignored. Each table's
@@ -15,6 +15,11 @@ formats. A strict fast path sends only 19-character strings with ``-``, ``-``,
 ``datetime.fromisoformat``; any other string, and any string it rejects,
 falls back to ``strptime``, so single-digit fields, other separators and
 surrounding spaces are accepted or rejected as before.
+
+Every CSV artifact a stage writes for the next goes through
+``write_artifact_rows`` (one dialect, ``\\n`` line ends, floats as ``.9g``,
+``None`` as an empty field) and back through ``read_artifact_rows``, whose
+errors name ``<path>:<line>``. ``read_artifact`` reads any other artifact.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import zlib
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DataError, PipelineError, SchemaError
 
@@ -312,24 +317,48 @@ def load_table(path: str | Path, schema: TableSchema
     return list(it), stats
 
 
-def read_artifact_rows(path: str | Path, header: Sequence[str]
-                       ) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each row of a CSV the pipeline wrote.
+def write_artifact_rows(path: str | Path, header: Sequence[str],
+                        rows: Iterable[Sequence[object]]) -> None:
+    """Write a CSV artifact: the header, then each row of ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [format(v, ".9g") if isinstance(v, float) else v for v in row]
+            for row in rows)
 
-    An unreadable or undecodable file, a header other than ``header`` and a
-    row without one field per column raise DataError naming the file and,
-    where it is known, the line.
+
+def read_artifact_rows(path: str | Path, header: Sequence[str],
+                       parse_row: Callable[[list[str]], None]) -> None:
+    """Call ``parse_row`` on the fields of each row of a CSV artifact.
+
+    An unreadable or undecodable file, a header other than ``header``, a
+    row without one field per column and a ValueError from ``parse_row``
+    raise DataError naming the file and, where it is known, the line.
     """
     csv_input = CsvInput(path)
     lines = iter(csv_input)
-    if next(lines, None) != list(header):
+    try:
+        if next(lines, None) != list(header):
+            raise DataError(f"{path}:1: expected the header {','.join(header)}")
+        for row in lines:
+            if len(row) != len(header):
+                raise DataError(f"{path}:{csv_input.line_num}: expected "
+                                f"{len(header)} fields, found {len(row)}")
+            try:
+                parse_row(row)
+            except ValueError as exc:
+                raise DataError(f"{path}:{csv_input.line_num}: {exc}") from exc
+    finally:
         lines.close()
-        raise DataError(f"{path}:1: expected the header {','.join(header)}")
-    for row in lines:
-        if len(row) != len(header):
-            raise DataError(f"{path}:{csv_input.line_num}: expected "
-                            f"{len(header)} fields, found {len(row)}")
-        yield csv_input.line_num, row
+
+
+def read_artifact(path: str | Path) -> bytes:
+    """The bytes of a non-CSV artifact; an unreadable file is a DataError."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def table_path(data_dir: str | Path, table_name: str) -> Path:

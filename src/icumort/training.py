@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .nn import (
     predict,
 )
 from .seeding import SplitMix64, derive_seed
+from .tables import write_artifact_rows
 
 log = logging.getLogger(__name__)
 
@@ -142,13 +142,6 @@ def train(
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_auc"])
-        for row in history:
-            writer.writerow([
-                row.epoch,
-                f"{row.train_loss:.9g}",
-                f"{row.val_loss:.9g}",
-                f"{row.val_auc:.9g}",
-            ])
+    write_artifact_rows(
+        path, ["epoch", "train_loss", "val_loss", "val_auc"],
+        ([h.epoch, h.train_loss, h.val_loss, h.val_auc] for h in history))

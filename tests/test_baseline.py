@@ -95,6 +95,12 @@ class TestTrainLr:
         with pytest.raises(ConfigError):
             train_lr(np.zeros((1, 20)), np.array([1.0]))
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_bad_lambda_rejected(self, lam):
+        features = np.random.default_rng(1).normal(size=(10, 20))
+        with pytest.raises(ConfigError, match="l2_lambda must be finite"):
+            train_lr(features, np.arange(10) % 2, lam=lam)
+
     def test_final_objective_not_worse_than_zero_model(self):
         rng = np.random.default_rng(2)
         features = rng.normal(size=(80, 20))

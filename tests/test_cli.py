@@ -352,6 +352,31 @@ def test_garbled_artifact_is_one_error_line(reference_dir, tmp_path, capsys,
         assert len(err) == 1 and err[0].startswith(f"error: {work / name}:2: ")
 
 
+@pytest.mark.parametrize("new_stay_id, repeated", [
+    (False, "icustay_id"), (True, "subject_id"),
+], ids=["same-row", "same-patient"])
+def test_repeated_cohort_row_is_one_error_line(reference_dir, tmp_path, capsys,
+                                               new_stay_id, repeated):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    for name in ("features_seq.csv", "features_static.csv"):
+        (work / name).unlink()
+    lines = (work / "cohort.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    if new_stay_id:
+        cells[0] = "999999999"
+    lines.insert(2, ",".join(cells))
+    (work / "cohort.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["featurize", "--data", str(work / "data"), "--work",
+                 str(work), *_SEED]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    column = lines[0].split(",").index(repeated)
+    assert err == [f"error: {work / 'cohort.csv'}:3: repeated {repeated} "
+                   f"{cells[column]}"]
+    assert not list(work.glob("features_*.csv"))
+
+
 @pytest.mark.parametrize("rates", [[], _CLEAN], ids=["anomalies", "clean"])
 def test_synth_log_counts_the_data_rows_of_every_table(tmp_path, rates):
     data = tmp_path / "data"
@@ -380,9 +405,11 @@ def test_synth_log_counts_the_data_rows_of_every_table(tmp_path, rates):
     (["train", "--learning-rate", "nan"], "learning_rate must be finite and"),
     (["train", "--learning-rate", "inf"], "learning_rate must be finite and"),
     (["train", "--patience", "-1"], "patience must be nonnegative"),
+    (["train", "--l2-lambda", "nan"], "l2_lambda must be finite and"),
+    (["train", "--l2-lambda", "inf"], "l2_lambda must be finite and"),
     (["evaluate", "--threshold", "nan"], "threshold must be in [0, 1]"),
 ], ids=["effect-nan", "age-min-nan", "age-max-inf", "lr-negative", "lr-nan",
-        "lr-inf", "patience-negative", "threshold-nan"])
+        "lr-inf", "patience-negative", "l2-nan", "l2-inf", "threshold-nan"])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     where = (["--out", str(out), "--synth-patients", "20", "--signal",

@@ -3,6 +3,7 @@ import gzip
 import random
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from icumort.errors import SchemaError
@@ -17,7 +18,10 @@ from icumort.tables import (
     load_table,
     parse_table,
     parse_timestamp,
+    read_artifact,
+    read_artifact_rows,
     table_path,
+    write_artifact_rows,
 )
 from icumort.errors import DataError
 
@@ -296,3 +300,68 @@ def test_parse_timestamp_matches_strptime_on_random_fixed_width_strings():
         text = "".join(chars)
         assert (_outcome(parse_timestamp, text)
                 == _outcome(_strptime_reference, text)), text
+
+
+def test_write_artifact_rows_formats_each_field_kind(tmp_path):
+    path = tmp_path / "artifact.csv"
+    write_artifact_rows(path, ["a", "b"], [
+        [7, "text"],
+        [0.1, np.float64(1 / 3)],
+        [float("nan"), None],
+        [1e-12, 123456789012.0],
+        ["a,b", 2.5],
+    ])
+    assert path.read_bytes() == (
+        b"a,b\n"
+        b"7,text\n"
+        b"0.1,0.333333333\n"
+        b"nan,\n"
+        b"1e-12,1.23456789e+11\n"
+        b'"a,b",2.5\n'
+    )
+
+
+def test_write_artifact_rows_reads_back_through_read_artifact_rows(tmp_path):
+    path = tmp_path / "artifact.csv"
+    write_artifact_rows(path, ["id", "x"], [[1, 0.25], [2, None]])
+    rows = []
+    read_artifact_rows(path, ["id", "x"], rows.append)
+    assert rows == [["1", "0.25"], ["2", ""]]
+
+
+def test_read_artifact_rows_maps_a_parse_error_to_its_line(tmp_path):
+    path = tmp_path / "artifact.csv"
+    path.write_text("id,x\n1,0.5\n2,oops\n")
+
+    def parse_row(row):
+        float(row[1])
+
+    with pytest.raises(DataError) as info:
+        read_artifact_rows(path, ["id", "x"], parse_row)
+    assert str(info.value) == (
+        f"{path}:3: could not convert string to float: 'oops'")
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,y\n1,2\n", ":1: expected the header id,x"),
+    ("", ":1: expected the header id,x"),
+    ("id,x\n1,2\n3\n", ":3: expected 2 fields, found 1"),
+], ids=["wrong-header", "empty", "short-row"])
+def test_read_artifact_rows_rejects_a_row_it_could_not_have_written(
+        tmp_path, text, message):
+    path = tmp_path / "artifact.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_artifact_rows(path, ["id", "x"], lambda row: None)
+    assert str(info.value) == f"{path}{message}"
+
+
+def test_read_artifact_names_an_unreadable_file(tmp_path):
+    (tmp_path / "blob.bin").write_bytes(b"\x00\x01")
+    assert read_artifact(tmp_path / "blob.bin") == b"\x00\x01"
+    with pytest.raises(DataError) as info:
+        read_artifact(tmp_path)
+    assert str(info.value) == f"cannot read {tmp_path}: Is a directory"
+    with pytest.raises(DataError, match="No such file or directory"):
+        read_artifact(tmp_path / "absent.bin")
