@@ -24,6 +24,7 @@ from .tables import (
     PatientRow,
     ServiceRow,
     StayRow,
+    finite_float,
     parse_timestamp,
     read_artifact_rows,
     write_artifact_rows,
@@ -58,7 +59,6 @@ class CohortStay:
     subject_id: int
     hadm_id: int
     intime: datetime
-    outtime: Optional[datetime]
     age_years: float
     admission_category: str
     aids: bool
@@ -286,7 +286,6 @@ def build_cohort(
                 subject_id=stay.subject_id,
                 hadm_id=stay.hadm_id,
                 intime=stay.intime,
-                outtime=stay.outtime,
                 age_years=age,
                 admission_category=category,
                 aids=aids,
@@ -343,13 +342,15 @@ def read_cohort_csv(path: str | Path) -> tuple[list[CohortStay], dict[int, str]]
          hem_malig, metastatic, label, split) = row
         if category not in ADMISSION_CATEGORIES:
             raise ValueError(f"unknown admission category {category!r}")
+        age_years = finite_float(age)
+        if age_years is None:
+            raise ValueError(f"age_years is not a finite number: {age!r}")
         stay = CohortStay(
             icustay_id=int(icustay_id),
             subject_id=int(subject_id),
             hadm_id=int(hadm_id),
             intime=parse_timestamp(intime),
-            outtime=None,
-            age_years=float(age),
+            age_years=age_years,
             admission_category=category,
             aids=parse_bit(aids),
             hematologic_malignancy=parse_bit(hem_malig),

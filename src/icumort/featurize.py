@@ -41,8 +41,7 @@ from .cohort import (
     parse_split,
 )
 from .errors import ConfigError, DataError
-from .items import (CHANNEL_BY_NAME, CHANNELS, N_CHANNELS, ItemRegistry,
-                    parse_numeric, resolve_item)
+from .items import CHANNELS, N_CHANNELS, Item, parse_numeric
 from .seeding import SplitMix64, derive_seed
 from .tables import (EVENT_SCHEMAS, finite_float, parse_table,
                      read_artifact_rows, table_path, write_artifact_rows)
@@ -54,7 +53,7 @@ STANDARDIZE_EPS = 1e-6
 # The coma-score parts follow the channels as slots 13-15.
 GCS_PART_SLOTS = {"gcs_verbal": 13, "gcs_motor": 14, "gcs_eyes": 15}
 N_SLOTS = N_CHANNELS + len(GCS_PART_SLOTS)
-URINE_SLOT = CHANNEL_BY_NAME["UrineOutput"].channel_index
+URINE_SLOT = CHANNELS.index("UrineOutput")
 
 
 class MatchedEvents(NamedTuple):
@@ -117,7 +116,7 @@ def compute_population_stats(hours: np.ndarray, ages: Iterable[float]
         observed = column[~np.isnan(column)]
         if not observed.size:
             raise ConfigError(
-                f"channel {channel.name} has no observed value in the "
+                f"channel {channel} has no observed value in the "
                 "training split; cannot compute its population mean"
             )
         means[c] = observed.mean()
@@ -220,7 +219,7 @@ def attribute_event(icustay_id: Optional[int], hadm_id: Optional[int],
 
 
 def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
-                        registry: ItemRegistry
+                        registry: Mapping[int, Item]
                         ) -> tuple[MatchedEvents, dict[str, int]]:
     """Stream the three event tables and keep the usable events.
 
@@ -245,8 +244,8 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
         path = table_path(data_dir, table)
         rows, stats = parse_table(path, EVENT_SCHEMAS[table])
         for event in rows:
-            resolved = resolve_item(registry, event.item_id)
-            if resolved is None:
+            item = registry.get(event.item_id)
+            if item is None:
                 counts["events_unlisted_item"] += 1
                 continue
             stay, minute = attribute_event(event.icustay_id, event.hadm_id,
@@ -261,13 +260,13 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
             if value is None:
                 counts["events_unparseable_value"] += 1
                 continue
-            channel, subrole = resolved
+            channel, subrole, _ = item
             if subrole == "temp_c":
                 value = value * 9.0 / 5.0 + 32.0
             elif subrole == "urine_in_irrigant":
                 value = -value
             events.stay.append(stay.icustay_id)
-            events.slot.append(GCS_PART_SLOTS.get(subrole, channel.channel_index))
+            events.slot.append(GCS_PART_SLOTS.get(subrole, channel))
             events.minute.append(minute)
             events.value.append(value)
             counts["events_matched"] += 1

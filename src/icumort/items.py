@@ -1,18 +1,19 @@
-"""Feature channel definitions and the item id registry.
+"""Feature channel names and the item id registry.
 
 The 13 sequential channels cover the time-varying part of the severity
-feature set. Each channel aggregates one or more raw item ids; the mapping
-ships as a package data file (``data/item_registry.csv``) so corrections do
-not require a code change. Resolution keys on item id alone, so featurize
-reads an item's rows from any event table; the registry's source_table
-column names the table that synth writes the item's rows to.
+feature set; ``CHANNELS`` names them in feature-matrix column order. Each
+channel aggregates one or more raw item ids; the mapping ships as a package
+data file (``data/item_registry.csv``) so corrections do not require a code
+change. ``load_registry`` maps each item id to one ``Item`` record: its
+channel's column, its subrole and the event table that synth writes its rows
+to. Featurize keys on item id alone, so it reads an item's rows from any
+event table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError
 from .tables import CsvInput, finite_float
@@ -26,51 +27,26 @@ CHANNEL_SUBROLES = {
 
 SOURCE_TABLES = ("chartevents", "labevents", "outputevents")
 
-
-@dataclass(frozen=True)
-class FeatureChannel:
-    channel_index: int
-    name: str
-
-
 # Column order of the hourly feature matrix. Fixed here, never inferred from
 # registry file row order.
-CHANNELS: tuple[FeatureChannel, ...] = (
-    FeatureChannel(0, "GCS"),
-    FeatureChannel(1, "SBP"),
-    FeatureChannel(2, "HeartRate"),
-    FeatureChannel(3, "TempF"),
-    FeatureChannel(4, "PaO2"),
-    FeatureChannel(5, "FiO2"),
-    FeatureChannel(6, "UrineOutput"),
-    FeatureChannel(7, "BUN"),
-    FeatureChannel(8, "WBC"),
-    FeatureChannel(9, "Bicarbonate"),
-    FeatureChannel(10, "Sodium"),
-    FeatureChannel(11, "Potassium"),
-    FeatureChannel(12, "Bilirubin"),
+CHANNELS = (
+    "GCS", "SBP", "HeartRate", "TempF", "PaO2", "FiO2", "UrineOutput",
+    "BUN", "WBC", "Bicarbonate", "Sodium", "Potassium", "Bilirubin",
 )
-
-CHANNEL_BY_NAME = {c.name: c for c in CHANNELS}
 N_CHANNELS = len(CHANNELS)
 
-
-class ItemRegistry:
-    """Mapping from raw item id to (FeatureChannel, subrole)."""
-
-    def __init__(self, entries: dict[int, tuple[FeatureChannel, str]],
-                 item_table: dict[int, str]):
-        self.entries = entries
-        self.item_table = item_table
+REGISTRY_PATH = Path(__file__).parent / "data" / "item_registry.csv"
 
 
-def default_registry_path() -> Path:
-    from importlib import resources
+class Item(NamedTuple):
+    """One registry row: what an item id measures and where synth writes it."""
 
-    return Path(str(resources.files("icumort").joinpath("data/item_registry.csv")))
+    channel: int  # the channel's column in CHANNELS order
+    subrole: str
+    table: str  # one of SOURCE_TABLES
 
 
-def load_registry(path: str | Path | None = None) -> ItemRegistry:
+def load_registry(path: str | Path | None = None) -> dict[int, Item]:
     """Load the item registry from CSV (``item_id,channel,subrole,source_table``).
 
     Lines starting with ``#`` are comments. An unreadable file, a row with
@@ -78,9 +54,8 @@ def load_registry(path: str | Path | None = None) -> ItemRegistry:
     unknown channels, and a subrole that does not fit its channel are
     configuration errors naming the file and, for a row, its line.
     """
-    path = Path(path) if path is not None else default_registry_path()
-    entries: dict[int, tuple[FeatureChannel, str]] = {}
-    item_table: dict[int, str] = {}
+    path = Path(path) if path is not None else REGISTRY_PATH
+    registry: dict[int, Item] = {}
     csv_input = CsvInput(path, ConfigError)
     rows = (row for row in csv_input if any(f.strip() for f in row)
             and not row[0].lstrip().startswith("#"))
@@ -99,26 +74,19 @@ def load_registry(path: str | Path | None = None) -> ItemRegistry:
         except ValueError:
             raise ConfigError(f"{where}: bad item id {row[0]!r}") from None
         channel_name, subrole, table = (f.strip() for f in row[1:4])
-        if channel_name not in CHANNEL_BY_NAME:
+        if channel_name not in CHANNELS:
             raise ConfigError(f"{where}: unknown channel {channel_name!r}")
         if subrole not in CHANNEL_SUBROLES.get(channel_name, ("plain",)):
             raise ConfigError(f"{where}: subrole {subrole!r} does not fit "
                               f"channel {channel_name}")
         if table not in SOURCE_TABLES:
             raise ConfigError(f"{where}: unknown table {table!r}")
-        if item_id in entries:
+        if item_id in registry:
             raise ConfigError(f"{where}: duplicate item id {item_id}")
-        entries[item_id] = (CHANNEL_BY_NAME[channel_name], subrole)
-        item_table[item_id] = table
-    if not entries:
+        registry[item_id] = Item(CHANNELS.index(channel_name), subrole, table)
+    if not registry:
         raise ConfigError(f"registry {path}: no entries")
-    return ItemRegistry(entries, item_table)
-
-
-def resolve_item(registry: ItemRegistry, item_id: int
-                 ) -> Optional[tuple[FeatureChannel, str]]:
-    """Return the (channel, subrole) for an item id, or None if unlisted."""
-    return registry.entries.get(item_id)
+    return registry
 
 
 def parse_numeric(value_num: Optional[float], value_text: Optional[str]

@@ -1,7 +1,7 @@
 """From-scratch stacked LSTM with exact backpropagation through time.
 
 Three LSTM layers run over the 48 hourly feature rows from zero initial
-state; the final top-layer hidden state is concatenated with the 7 static
+state; the final top-layer hidden state is concatenated with the static
 features and fed through a dense sigmoid head. Everything is float64 and the
 backward pass returns exact analytic gradients of the mean binary
 cross-entropy, which the test suite checks against central finite
@@ -27,10 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .featurize import STATIC_FEATURES
+from .items import N_CHANNELS
 from .tables import read_artifact
 
-N_FEATURES = 13
-N_STATIC = 7
+N_FEATURES = N_CHANNELS
+N_STATIC = len(STATIC_FEATURES)
 N_LAYERS = 3
 BCE_CLAMP = 1e-7
 
@@ -159,7 +161,7 @@ class ForwardCache:
 def forward_batch(seq: np.ndarray, static: np.ndarray, model: LstmModel,
                   want_cache: bool = False
                   ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Probabilities for a batch: seq (B, T, 13), static (B, 7)."""
+    """Probabilities for a batch: seq (B, T, N_FEATURES), static (B, N_STATIC)."""
     seq = np.asarray(seq, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
     h = model.hidden_size

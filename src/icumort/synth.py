@@ -57,7 +57,7 @@ from .cohort import (
 from .config import SynthConfig
 from .errors import ConfigError
 from .featurize import attribute_event
-from .items import N_CHANNELS, ItemRegistry, load_registry
+from .items import N_CHANNELS, Item, load_registry
 from .seeding import SplitMix64, derive_seed, derive_seed_many, leading_uniforms
 from .tables import (
     ADMISSIONS,
@@ -395,7 +395,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> dict:
     }
 
 
-def _write_stay_events(writers, registry: ItemRegistry,
+def _write_stay_events(writers, registry: dict[int, Item],
                        rng: np.random.Generator, profile: PatientProfile,
                        stay: _StaySpec, config: SynthConfig,
                        anomalies: Optional[_Anomalies]) -> int:
@@ -473,7 +473,7 @@ def _write_stay_events(writers, registry: ItemRegistry,
     for row in zip(items, charttimes, texts, texts,
                    map(_UNITS.get, items, repeat("")),
                    repeat(None) if anomalies is None else stamps.tolist()):
-        rows.setdefault(registry.item_table[row[0]].upper(), []).append(row)
+        rows.setdefault(registry[row[0]].table.upper(), []).append(row)
     ids = (profile.subject_id, profile.hadm_id, stay.icustay_id)
     for table, table_rows in rows.items():
         writer = writers[table]
@@ -504,7 +504,7 @@ _INJECT_COINS = 4
 class _Anomalies:
     """The anomalies of one ``generate`` pass and their manifest entries."""
 
-    def __init__(self, config: SynthConfig, registry: ItemRegistry):
+    def __init__(self, config: SynthConfig, registry: dict[int, Item]):
         self.config = config
         self.registry = registry
         self.by_icustay: dict[int, StayRow] = {}
@@ -542,8 +542,7 @@ class _Anomalies:
         out: list[Optional[tuple]] = []
         for row_id, (item, charttime, value, valuenum, unit, when), coin in zip(
                 count(first_id), rows, coins.tolist()):
-            channel, subrole = self.registry.entries[item]
-            channel = channel.channel_index
+            channel, subrole, _ = self.registry[item]
             stay, minute = attribute_event(icustay_id, ids[1], when,
                                            self.by_icustay, self.by_hadm)
             if minute is not None:

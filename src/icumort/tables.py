@@ -50,7 +50,6 @@ class RawEvent:
     charttime: datetime
     value_num: Optional[float]
     value_text: Optional[str]
-    unit: Optional[str]
 
     def __post_init__(self) -> None:
         if self.item_id <= 0:
@@ -174,7 +173,6 @@ _EVENT_COLUMNS = (
     # Lenient: an unparseable or non-finite VALUENUM is None, not malformed.
     ("valuenum", finite_float, False),
     ("value", str, False),
-    ("valueuom", str, False),
 )
 
 CHARTEVENTS = TableSchema("chartevents", RawEvent, _EVENT_COLUMNS)

@@ -377,6 +377,27 @@ def test_repeated_cohort_row_is_one_error_line(reference_dir, tmp_path, capsys,
     assert not list(work.glob("features_*.csv"))
 
 
+@pytest.mark.parametrize("age", ["nan", "inf"])
+def test_non_finite_cohort_age_is_one_error_line(reference_dir, tmp_path,
+                                                 capsys, age):
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    for name in ("features_seq.csv", "features_static.csv"):
+        (work / name).unlink()
+    lines = (work / "cohort.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[lines[0].split(",").index("age_years")] = age
+    lines[1] = ",".join(cells)
+    (work / "cohort.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["featurize", "--data", str(work / "data"), "--work",
+                 str(work), *_SEED]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {work / 'cohort.csv'}:2: age_years is not a "
+                   f"finite number: '{age}'"]
+    assert not list(work.glob("features_*.csv"))
+
+
 @pytest.mark.parametrize("rates", [[], _CLEAN], ids=["anomalies", "clean"])
 def test_synth_log_counts_the_data_rows_of_every_table(tmp_path, rates):
     data = tmp_path / "data"

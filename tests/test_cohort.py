@@ -228,7 +228,7 @@ def test_build_cohort_missing_admission_names_hadm():
 def _cohort_lines(tmp_path):
     stays = [
         CohortStay(icustay_id=100 + i, subject_id=i, hadm_id=10 * i,
-                   intime=T0, outtime=None, age_years=60.5,
+                   intime=T0, age_years=60.5,
                    admission_category=MEDICAL, aids=False,
                    hematologic_malignancy=False, metastatic_cancer=bool(i),
                    label_mortality=bool(i))

@@ -34,7 +34,6 @@ def make_stay(stay_id=100, label=False, age=50.0):
         subject_id=stay_id,
         hadm_id=10,
         intime=T0,
-        outtime=T0 + timedelta(hours=72),
         age_years=age,
         admission_category=MEDICAL,
         aids=False,
@@ -299,7 +298,8 @@ def write_events(data_dir, registry, events):
     data_dir.mkdir(parents=True, exist_ok=True)
     by_table = {"chartevents": [], "labevents": [], "outputevents": []}
     for row in events:
-        by_table[registry.item_table.get(row[3], "chartevents")].append(row)
+        item = registry.get(row[3])
+        by_table[item.table if item else "chartevents"].append(row)
     for table, rows in by_table.items():
         with open(data_dir / f"{table.upper()}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -471,22 +471,21 @@ def reference_bin_hourly_sum(events):
 def reference_assemble_hourly(stay_id, stay_events, global_seed,
                               literal_urine_pick):
     columns = []
-    for channel in CHANNELS:
-        events = stay_events[channel.channel_index]
-        base_seed = derive_seed(global_seed, "featurize", stay_id,
-                                channel.channel_index)
-        if channel.name == "GCS":
+    for c, channel in enumerate(CHANNELS):
+        events = stay_events[c]
+        base_seed = derive_seed(global_seed, "featurize", stay_id, c)
+        if channel == "GCS":
             verbal, motor, eyes = (
                 reference_bin_hourly([(m, v) for m, v, r in events
                                       if r == subrole],
                                      derive_seed(base_seed, k + 1))
                 for k, subrole in enumerate(GCS_PART_SLOTS))
             columns.append([v + m + e for v, m, e in zip(verbal, motor, eyes)])
-        elif channel.name == "TempF":
+        elif channel == "TempF":
             converted = [(m, v * 9.0 / 5.0 + 32.0 if r == "temp_c" else v)
                          for m, v, r in events]
             columns.append(reference_bin_hourly(converted, base_seed))
-        elif channel.name == "UrineOutput":
+        elif channel == "UrineOutput":
             signed = [(m, -v if r == "urine_in_irrigant" else v)
                       for m, v, r in events]
             columns.append(reference_bin_hourly(signed, base_seed)
@@ -502,8 +501,8 @@ def reference_assemble_hourly(stay_id, stay_events, global_seed,
 def test_bin_events_matches_a_loop_reference(registry, tmp_path,
                                              literal_urine_pick):
     rng = np.random.default_rng(5)
-    items = sorted(registry.entries)
-    eyes = [i for i in items if registry.entries[i][1] == "gcs_eyes"]
+    items = sorted(registry)
+    eyes = [i for i in items if registry[i].subrole == "gcs_eyes"]
     table_order = ["chartevents", "labevents", "outputevents"]
     stays = [make_stay(stay_id) for stay_id in (300, 100, 200)]
     gcs_observed = False
@@ -529,12 +528,11 @@ def test_bin_events_matches_a_loop_reference(registry, tmp_path,
         seed = int(rng.integers(0, 2**32))
         binned = bin_events(found, ids, seed, literal_urine_pick)
         # Collection reads the chart, lab and output tables in that order.
-        rows.sort(key=lambda r: table_order.index(registry.item_table[r[0]]))
+        rows.sort(key=lambda r: table_order.index(registry[r[0]].table))
         stay_events = {sid: [[] for _ in range(N_CHANNELS)] for sid in ids}
         for item, minute, value, sid in rows:
-            channel, subrole = registry.entries[item]
-            stay_events[sid][channel.channel_index].append(
-                (minute, value, subrole))
+            channel, subrole, _ = registry[item]
+            stay_events[sid][channel].append((minute, value, subrole))
         reference = np.stack([
             reference_assemble_hourly(sid, stay_events[sid], seed,
                                       literal_urine_pick) for sid in ids])

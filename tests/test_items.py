@@ -1,13 +1,7 @@
 import pytest
 
 from icumort.errors import ConfigError
-from icumort.items import (
-    CHANNELS,
-    N_CHANNELS,
-    load_registry,
-    parse_numeric,
-    resolve_item,
-)
+from icumort.items import CHANNELS, N_CHANNELS, Item, load_registry, parse_numeric
 
 
 @pytest.fixture(scope="module")
@@ -16,45 +10,42 @@ def registry():
 
 
 def test_thirteen_channels_with_unique_contiguous_indices():
-    assert N_CHANNELS == 13
-    assert [c.channel_index for c in CHANNELS] == list(range(13))
-    assert len({c.name for c in CHANNELS}) == 13
+    assert N_CHANNELS == len(CHANNELS) == 13
+    assert len(set(CHANNELS)) == 13
+    assert [CHANNELS.index(name) for name in CHANNELS] == list(range(13))
 
 
 def test_registry_covers_every_listed_item_exactly_once(registry):
     # 59 ids across the 13 channels; uniqueness is enforced at load time.
-    assert len(registry.entries) == 59
-    per_channel = {c.name: [i for i, (channel, _) in registry.entries.items()
-                            if channel == c] for c in CHANNELS}
+    assert len(registry) == 59
+    per_channel = {name: [i for i, item in registry.items() if item.channel == c]
+                   for c, name in enumerate(CHANNELS)}
     assert sum(len(v) for v in per_channel.values()) == 59
     assert len(per_channel["UrineOutput"]) == 26
     assert len(per_channel["GCS"]) == 6
 
 
 def test_resolve_known_items(registry):
-    channel, subrole = resolve_item(registry, 220045)
-    assert channel.name == "HeartRate"
-    assert subrole == "plain"
-    channel, subrole = resolve_item(registry, 676)
-    assert channel.name == "TempF"
-    assert subrole == "temp_c"
-    channel, subrole = resolve_item(registry, 227488)
-    assert channel.name == "UrineOutput"
-    assert subrole == "urine_in_irrigant"
+    assert registry[220045] == Item(CHANNELS.index("HeartRate"), "plain",
+                                    "chartevents")
+    assert registry[676] == Item(CHANNELS.index("TempF"), "temp_c",
+                                 "chartevents")
+    assert registry[227488] == Item(CHANNELS.index("UrineOutput"),
+                                    "urine_in_irrigant", "outputevents")
 
 
 def test_unlisted_item_resolves_to_none(registry):
-    assert resolve_item(registry, 999999) is None
+    assert registry.get(999999) is None
 
 
 def test_quirky_ids_ship_as_listed(registry):
     # 950824 (likely a typo upstream) and 190 are deliberately kept.
-    assert resolve_item(registry, 950824)[0].name == "Sodium"
-    assert resolve_item(registry, 190)[0].name == "FiO2"
+    assert CHANNELS[registry[950824].channel] == "Sodium"
+    assert CHANNELS[registry[190].channel] == "FiO2"
     # Potassium resolution keys on item id even though the shipped table
     # column calls them chart items.
-    assert resolve_item(registry, 50971)[0].name == "Potassium"
-    assert registry.item_table[50971] == "chartevents"
+    assert registry[50971] == Item(CHANNELS.index("Potassium"), "plain",
+                                   "chartevents")
 
 
 def test_duplicate_item_id_rejected(tmp_path):

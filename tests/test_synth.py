@@ -10,7 +10,7 @@ from icumort import synth
 from icumort.cohort import DAYS_PER_YEAR, build_cohort
 from icumort.errors import ConfigError
 from icumort.featurize import collect_stay_events
-from icumort.items import CHANNEL_BY_NAME, N_CHANNELS, load_registry
+from icumort.items import CHANNELS, N_CHANNELS, load_registry
 from icumort.synth import (
     SynthConfig,
     describe,
@@ -95,7 +95,7 @@ def test_every_generated_item_id_is_in_the_registry(tmp_path):
     registry = load_registry()
     for name in EVENT_TABLES:
         for row in _read_rows(tmp_path / f"{name}.csv"):
-            assert int(row["ITEMID"]) in registry.entries
+            assert int(row["ITEMID"]) in registry
 
 
 def test_mortality_rate_realized_at_scale():
@@ -416,7 +416,7 @@ def _featurize_attribution(data_dir: Path, entries, scratch: Path):
             for row in reader:
                 i = marker.get((name, int(row["ROW_ID"])))
                 if i is not None:
-                    subrole = registry.entries[int(row["ITEMID"])][1]
+                    subrole = registry[int(row["ITEMID"])].subrole
                     row["VALUE"] = str(_UNDO_VALUE_RULE.get(subrole, int)(i))
                     if "VALUENUM" in row:
                         row["VALUENUM"] = row["VALUE"]
@@ -452,7 +452,7 @@ def test_every_manifest_entry_matches_featurize(tmp_path, monkeypatch,
     data = tmp_path / "data"
     generate(config, data)
     injections = inject_anomalies(data, config)
-    temp_f = CHANNEL_BY_NAME["TempF"].channel_index
+    temp_f = CHANNELS.index("TempF")
     cells = [((e["table"], e["row_id"]),
               (e["stay"], e.get("channel", temp_f), e["hour"]))
              for kind in ("celsius", "error_text", "duplicate")
