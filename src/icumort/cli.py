@@ -236,11 +236,40 @@ def _split_arrays(tensors, split_by_stay, split: str
     return seq, static, labels
 
 
+# mallopt parameters of glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages mapped, so training reuses them.
+
+    Training frees each batch's forward cache (16.6 MB at B 32, T 48, H 64)
+    before the next forward pass. By default glibc hands a freed heap top
+    larger than twice its largest freed mmap chunk back to the system, so
+    every batch page-faulted its cache in again: about 2,700 faults a batch,
+    and a train stage 6-19% slower than with two caches alive. A 32 MB mmap
+    threshold and a 64 MB trim threshold keep those pages for the next
+    batch. C libraries without ``mallopt`` are left as they are.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def stage_train(args: dict) -> None:
     from . import baseline, featurize, nn, training
     from .seeding import derive_seed
 
     _require(args, "work", "seed")
+    _keep_freed_heap()
     started = time.monotonic()
     work_dir = Path(args["work"])
     config = _config_from_args(TrainConfig, args,

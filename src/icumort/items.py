@@ -50,9 +50,10 @@ def load_registry(path: str | Path | None = None) -> dict[int, Item]:
     """Load the item registry from CSV (``item_id,channel,subrole,source_table``).
 
     Lines starting with ``#`` are comments. An unreadable file, a row with
-    fewer than four fields or a non-integer item id, duplicate item ids,
-    unknown channels, and a subrole that does not fit its channel are
-    configuration errors naming the file and, for a row, its line.
+    fewer than four fields or an item id that is not a positive integer in
+    plain digits, duplicate item ids, unknown channels, and a subrole that
+    does not fit its channel are configuration errors naming the file and,
+    for a row, its line.
     """
     path = Path(path) if path is not None else REGISTRY_PATH
     registry: dict[int, Item] = {}
@@ -69,10 +70,16 @@ def load_registry(path: str | Path | None = None) -> dict[int, Item]:
         where = f"registry {path} line {csv_input.line_num}"
         if len(row) < 4:
             raise ConfigError(f"{where}: expected 4 fields, found {len(row)}")
+        # Plain ASCII digits only: int() would also take a sign, "_" between
+        # digits and non-ASCII digits.
+        id_text = row[0].strip()
         try:
-            item_id = int(row[0])
-        except ValueError:
-            raise ConfigError(f"{where}: bad item id {row[0]!r}") from None
+            item_id = (int(id_text) if id_text.isascii() and id_text.isdigit()
+                       else 0)
+        except ValueError:  # more digits than int() converts
+            item_id = 0
+        if item_id < 1:
+            raise ConfigError(f"{where}: bad item id {row[0]!r}")
         channel_name, subrole, table = (f.strip() for f in row[1:4])
         if channel_name not in CHANNELS:
             raise ConfigError(f"{where}: unknown channel {channel_name!r}")

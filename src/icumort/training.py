@@ -86,6 +86,10 @@ def train(
     validation loss and AUC are recorded; the parameters at the best
     monitored value are retained and returned after ``patience``
     non-improving epochs or at the epoch cap.
+
+    Exactly one batch's forward cache (see ``nn``) is alive at a time: a
+    batch's cache and gradients are freed once its Adam step returns, before
+    the next batch's forward pass and before the validation pass.
     """
     config.validate()
     seq_tr, static_tr, y_tr = (np.asarray(a, dtype=np.float64) for a in train_data)
@@ -123,6 +127,9 @@ def train(
             grads = backward_batch(model, cache, y_tr[idx])
             adam_step(params, grads, state)
             loss_sum += loss * len(idx)
+            # Free this batch's BPTT cache and gradients before the next
+            # forward pass (or the validation predict) builds its own.
+            del p, cache, grads
         train_loss = loss_sum / n
 
         val_scores = predict(model, seq_va, static_va)

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 
 from icumort import cli
 from icumort.cli import main
+from icumort.items import REGISTRY_PATH
 
 _CLEAN = ["--celsius-rate", "0", "--error-text-rate", "0",
           "--duplicate-rate", "0", "--missing-span-rate", "0"]
@@ -247,6 +249,173 @@ def test_feature_artifacts_keep_their_bytes(reference_dir, tmp_path, mode):
     names = ("features_seq.csv", "features_static.csv", "population_stats.json")
     assert tuple(hashlib.sha256((work / name).read_bytes()).hexdigest()
                  for name in names) == pinned
+
+
+def _digests(root):
+    """sha256 of every file under root; stage logs as sorted JSON."""
+    return {name: hashlib.sha256(
+                json.dumps(content, sort_keys=True).encode()
+                if isinstance(content, dict) else content).hexdigest()
+            for name, content in _tree(root).items()}
+
+
+# sha256 of every artifact of the reference run-all, with each stage log
+# hashed as sorted JSON without its wall time. The run is a child process
+# with one BLAS thread, as the bench runs it, because the model bytes depend
+# on the BLAS; the pins were taken with numpy 2.4.6. A deliberate change to
+# any of these bytes updates its pin.
+_RUN_SHA256 = {
+    "cohort.csv":
+        "f9adad64261f78189f5f88b423ec93d81e8ba29e05f6b89679996c0eb61f0381",
+    "data/ADMISSIONS.csv":
+        "0c58b2e715fd6c1f4e6e8efd5f89c2533f6a9ceb619674eeacb7ba5e42e38c54",
+    "data/CHARTEVENTS.csv":
+        "6a598aeb187738b36043c6f52539a1bc116a9e3626c2983e78368ddebe9bec0a",
+    "data/DIAGNOSES_ICD.csv":
+        "fe141f7f50957a0f1befc223e4ff025fefd1fff44940cd325a9592630d4b793d",
+    "data/ICUSTAYS.csv":
+        "b70790a556b15503af66c632a3e993a7d3058e735965c4d57bc01c7f6055140d",
+    "data/LABEVENTS.csv":
+        "53ac3110fc1b30c6e9352ef41572fef375ae6820f76b83c464d6f77ab6d7c238",
+    "data/OUTPUTEVENTS.csv":
+        "d03c4f2186496d94006c093f9ea8a036e77de66d14895ea60ae80236b2456777",
+    "data/PATIENTS.csv":
+        "64e4d396095126b4d941774823cb1b63791a74a4ccd5f52025c18f340b3c472f",
+    "data/SERVICES.csv":
+        "e774a19ad6373dbb2e770bab232432c56029351ffdb797fb01cc4deac3183983",
+    "data/logs/synth_log.json":
+        "c7954bfe950e4657763dcfd538ebec3dfe952a2ea5a3ef3466adcc542508d919",
+    "data/synth_manifest.json":
+        "aac0306794c49477c13d4d54477a1112176bb47a105a14d47a4f2dcc3b569c4a",
+    "features_seq.csv":
+        "56c44c969ac368397af97d742ae194f87ba77998b58299489e9dc026bebdf152",
+    "features_static.csv":
+        "ecda8d5957b53736d52aa27d7dfb7049977473569ced0930673799e91ebf051c",
+    "logreg_checkpoint.txt":
+        "206ea22fbe91c312bae7fea34f79c9cdf81b85e18063512e71b01f9b350a8d6b",
+    "logs/cohort_log.json":
+        "a72fff5e9590c7fb67ef9b134ef259517fb9c26ccc45977684397fbd30d7471a",
+    "logs/evaluate_log.json":
+        "3e7950e942cc5d8a234a04fec3c3f29915725de1db8031c1dfbf07028e2511bf",
+    "logs/featurize_log.json":
+        "0e7879b6f0d9caaa1db826dd6313341f6b8dc4953581f00c4390798dd890feb6",
+    "logs/train_log.json":
+        "f5c914085edf5e0ef65c446c9c1bbb930664d96450462564911f7b93962f4cb1",
+    "lstm_checkpoint.bin":
+        "ff6a5b6cd144bb3df65407fab1f45352f211fde1d8146aee48a67ab2b01601b0",
+    "lstm_checkpoint.manifest.txt":
+        "92cbdca6e119a4889998f4021e36f9b4c82f62e499066ecac10c46ab3932556a",
+    "metrics_report.csv":
+        "1b8f3d292f61c7467bb0aebc1d4d8ba69fbba741ff5eb29af192532d96125df4",
+    "model_comparison.csv":
+        "66f7615fa53363ff2713b347d7c55216ee66382e6cf58c98bedebc51aeb25d3e",
+    "population_stats.json":
+        "1de0faa1f3990492b7152d706f2067a7a7704c2cd97cc865891612e52db84faf",
+    "roc_logreg_test.csv":
+        "644df96290f58a0d7642a047674032a80a2990e972909d1ed9a14fd6851a4ad2",
+    "roc_lstm_test.csv":
+        "1b7f40f6f1061064e8c55d9c8065bd0ed99ffd8b03ff931d717c2b4063030374",
+    "training_history.csv":
+        "d2ad4be460f178475af279ab35d1d7259ff0b9cb5bf7f9534101c9e58c98b310",
+}
+
+
+def test_run_all_artifacts_keep_their_bytes(tmp_path):
+    out = tmp_path / "run"
+    env = dict(_child_env(), **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "icumort.cli", "run-all", "--out", str(out),
+         *_RUN], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _digests(out) == _RUN_SHA256
+
+
+_FEATURES = ("features_seq.csv", "features_static.csv", "population_stats.json")
+_EVENT_TABLES = ("CHARTEVENTS", "LABEVENTS", "OUTPUTEVENTS")
+_DIMENSION_TABLES = ("ADMISSIONS", "DIAGNOSES_ICD", "ICUSTAYS", "PATIENTS",
+                     "SERVICES")
+
+
+def _featurize_copy(data, work, *flags):
+    """Cohort and featurize of a data directory; the featurize log."""
+    dirs = ["--data", str(data), "--work", str(work), *_SEED]
+    assert main(["cohort", *dirs]) == 0
+    assert main(["featurize", *dirs, *flags]) == 0
+    return _log(work, "featurize")
+
+
+@pytest.mark.parametrize("tables", [_EVENT_TABLES, _DIMENSION_TABLES],
+                         ids=["event", "dimension"])
+def test_shuffled_table_rows_keep_the_features(reference_dir, reference_run,
+                                               tmp_path, tables):
+    # A urine cell adds its volumes in file order. Synth writes whole-number
+    # volumes, which add exactly in any order. Only its jittered duplicates
+    # carry a decimal, in a few cells, and the 9-digit artifact format hides
+    # a last-bit change in their sums.
+    data = tmp_path / "data"
+    shutil.copytree(reference_dir / "data", data)
+    rng = random.Random(0)
+    for table in tables:
+        path = data / f"{table}.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rng.shuffle(rows)
+        path.write_text(header + "".join(rows))
+    _featurize_copy(data, tmp_path / "run")
+    for name in _FEATURES:
+        assert (tmp_path / "run" / name).read_bytes() == reference_run[name]
+
+
+def test_gzipped_tables_give_identical_artifacts(reference_dir, reference_run,
+                                                 tmp_path):
+    work = tmp_path / "run"
+    data = work / "data"
+    data.mkdir(parents=True)
+    for path in (reference_dir / "data").glob("*.csv"):
+        (data / f"{path.name}.gz").write_bytes(
+            gzip.compress(path.read_bytes(), mtime=0))
+    _featurize_copy(data, work)
+    assert main(["train", "--work", str(work), *_SEED, "--max-epochs", "1"]) == 0
+    assert main(["evaluate", "--work", str(work), *_SEED]) == 0
+    got = {k: v for k, v in _tree(work).items() if not k.startswith("data/")}
+    assert got == {k: v for k, v in reference_run.items()
+                   if not k.startswith("data/")}
+
+
+def test_reordered_registry_keeps_the_features(reference_dir, reference_run,
+                                               tmp_path):
+    header, *rows = REGISTRY_PATH.read_text().splitlines(keepends=True)
+    rows = [row for row in rows if not row.startswith("#")]
+    random.Random(0).shuffle(rows)
+    registry = tmp_path / "registry.csv"
+    registry.write_text(header + "".join(rows))
+    _featurize_copy(reference_dir / "data", tmp_path / "run",
+                    "--registry", str(registry))
+    for name in _FEATURES:
+        assert (tmp_path / "run" / name).read_bytes() == reference_run[name]
+
+
+def test_rows_outside_the_cohort_change_only_their_count(reference_dir,
+                                                         reference_run,
+                                                         tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(reference_dir / "data", data)
+    path = data / "CHARTEVENTS.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    column = lines[0].rstrip("\n").split(",").index("ICUSTAY_ID")
+    added = []
+    for line in lines[1:11]:
+        fields = line.split(",")
+        fields[column] = "999999"  # no stay of the cohort
+        added.append(",".join(fields))
+    path.write_text("".join(lines + added))
+    counts = _featurize_copy(data, tmp_path / "run")["counts"]
+    for name in _FEATURES:
+        assert (tmp_path / "run" / name).read_bytes() == reference_run[name]
+    want = dict(reference_run["logs/featurize_log.json"]["counts"])
+    want["events_read"] += len(added)
+    want["events_outside_cohort"] += len(added)
+    assert counts == want
 
 
 _COMMON = {"seed": (int, None), "config": (str, None)}

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from icumort.errors import ConfigError
@@ -57,6 +59,29 @@ def test_duplicate_item_id_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="duplicate"):
         load_registry(path)
+
+
+@pytest.mark.parametrize("item_id", [
+    "-211", "2_20045", "+211", "0", pytest.param("9" * 5000, id="5000-digits"),
+])
+def test_item_id_outside_plain_positive_digits_rejected(tmp_path, item_id):
+    path = tmp_path / "registry.csv"
+    path.write_text(
+        "item_id,channel,subrole,source_table\n"
+        "220045,HeartRate,plain,chartevents\n"
+        f"{item_id},SBP,plain,chartevents\n"
+    )
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"line 3: bad item id '{item_id}'")):
+        load_registry(path)
+
+
+def test_item_id_may_carry_surrounding_spaces(tmp_path):
+    path = tmp_path / "registry.csv"
+    path.write_text("item_id,channel,subrole,source_table\n"
+                    " 211 ,HeartRate,plain,chartevents\n")
+    assert load_registry(path) == {
+        211: Item(CHANNELS.index("HeartRate"), "plain", "chartevents")}
 
 
 def test_parse_numeric_prefers_numeric_column():
