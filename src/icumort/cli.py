@@ -398,8 +398,6 @@ def render_comparison(model_reports: list[tuple[str, EvalReport]],
     to ``csv_path``."""
     from .tables import write_artifact_rows
 
-    if not model_reports:
-        raise ConfigError("no evaluation reports to render")
     header = ["Model", "Precision", "Recall", "F1", "AUC"]
     rows = [
         [name, f"{r.precision:.3f}", f"{r.recall:.3f}",
@@ -432,7 +430,7 @@ def run_all(args: dict) -> None:
     stage_evaluate(stage_args)
 
 
-# Config fields the stages set themselves rather than take as options.
+# Config fields no option sets; of these, the stages derive only ``seed``.
 _DERIVED_FIELDS = frozenset({"seed", "missing_rate", "shuffle"})
 # Option names that differ from their config field names.
 _OPTION_NAMES = {"n_patients": "synth_patients", "signal_mode": "signal",

@@ -25,6 +25,7 @@ from .tables import (
     ServiceRow,
     StayRow,
     finite_float,
+    parse_digits,
     parse_timestamp,
     read_artifact_rows,
     write_artifact_rows,
@@ -49,6 +50,8 @@ DEFAULT_SURGICAL_SERVICES = frozenset(
 )
 
 SPLITS = ("train", "val", "test")
+
+ICD9_FLAGS_PATH = Path(__file__).parent / "data" / "icd9_flags.csv"
 
 
 @dataclass
@@ -124,18 +127,12 @@ def icd9_numeric(code: str) -> Optional[float]:
     return float(f"{int(head)}.{tail}" if tail else head)
 
 
-def default_icd9_flags_path() -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files("icumort").joinpath("data/icd9_flags.csv")))
-
-
 def load_icd9_flags(path: str | Path | None = None) -> dict[str, tuple[float, float]]:
     """Load comorbidity flag definitions as inclusive code ranges.
 
     An unreadable file and a row without a flag and two numeric bounds
     (columns ``flag,code_lo,code_hi``) are configuration errors."""
-    path = Path(path) if path is not None else default_icd9_flags_path()
+    path = Path(path) if path is not None else ICD9_FLAGS_PATH
     ranges: dict[str, tuple[float, float]] = {}
     csv_input = CsvInput(path, ConfigError)
     rows = iter(csv_input)
@@ -144,12 +141,11 @@ def load_icd9_flags(path: str | Path | None = None) -> dict[str, tuple[float, fl
         if not row:
             continue
         record = dict(zip(header, row))
-        try:
-            flag = record["flag"].strip()
-            lo, hi = float(record["code_lo"]), float(record["code_hi"])
-        except (KeyError, ValueError):
+        lo, hi = (finite_float(record.get(c, "")) for c in ("code_lo", "code_hi"))
+        if "flag" not in record or lo is None or hi is None:
             raise ConfigError(f"icd9 flags {path} line {csv_input.line_num}: "
-                              "expected a flag and two numeric bounds") from None
+                              "expected a flag and two numeric bounds")
+        flag = record["flag"].strip()
         if hi < lo:
             raise ConfigError(f"icd9 flags {path}: empty range for {flag}")
         ranges[flag] = (lo, hi)
@@ -346,9 +342,9 @@ def read_cohort_csv(path: str | Path) -> tuple[list[CohortStay], dict[int, str]]
         if age_years is None:
             raise ValueError(f"age_years is not a finite number: {age!r}")
         stay = CohortStay(
-            icustay_id=int(icustay_id),
-            subject_id=int(subject_id),
-            hadm_id=int(hadm_id),
+            icustay_id=parse_digits(icustay_id),
+            subject_id=parse_digits(subject_id),
+            hadm_id=parse_digits(hadm_id),
             intime=parse_timestamp(intime),
             age_years=age_years,
             admission_category=category,

@@ -43,7 +43,7 @@ from .cohort import (
 from .errors import ConfigError, DataError
 from .items import CHANNELS, N_CHANNELS, Item, parse_numeric
 from .seeding import SplitMix64, derive_seed
-from .tables import (EVENT_SCHEMAS, finite_float, parse_table,
+from .tables import (EVENT_SCHEMAS, finite_float, parse_digits, parse_table,
                      read_artifact_rows, table_path, write_artifact_rows)
 
 WINDOW_HOURS = 48
@@ -360,7 +360,7 @@ def read_features(work_dir: str | Path
     seq_by_stay: dict[int, np.ndarray] = {}
 
     def parse_seq_row(row: list[str]) -> None:
-        stay_id, hour = int(row[0]), int(row[1])
+        stay_id, hour = parse_digits(row[0]), parse_digits(row[1])
         if not 0 <= hour < WINDOW_HOURS:
             raise ValueError(f"hour {hour} is outside 0-{WINDOW_HOURS - 1}")
         seq = seq_by_stay.get(stay_id)
@@ -378,7 +378,7 @@ def read_features(work_dir: str | Path
 
     def parse_static_row(row: list[str]) -> None:
         stay_id, *static, label, split = row
-        stay_id = int(stay_id)
+        stay_id = parse_digits(stay_id)
         seq = seq_by_stay.get(stay_id)
         if stay_id in split_by_stay:
             raise ValueError(f"repeated stay {stay_id}")

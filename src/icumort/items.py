@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError
-from .tables import CsvInput, finite_float
+from .tables import CsvInput, finite_float, parse_digits
 
 # The subroles a channel's items may carry; other channels' items are plain.
 CHANNEL_SUBROLES = {
@@ -70,13 +70,9 @@ def load_registry(path: str | Path | None = None) -> dict[int, Item]:
         where = f"registry {path} line {csv_input.line_num}"
         if len(row) < 4:
             raise ConfigError(f"{where}: expected 4 fields, found {len(row)}")
-        # Plain ASCII digits only: int() would also take a sign, "_" between
-        # digits and non-ASCII digits.
-        id_text = row[0].strip()
         try:
-            item_id = (int(id_text) if id_text.isascii() and id_text.isdigit()
-                       else 0)
-        except ValueError:  # more digits than int() converts
+            item_id = parse_digits(row[0].strip())
+        except ValueError:
             item_id = 0
         if item_id < 1:
             raise ConfigError(f"{where}: bad item id {row[0]!r}")

@@ -8,7 +8,7 @@ single ROC point, so both routes agree to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -169,17 +169,11 @@ def write_roc_csv(path: str | Path, scores: Sequence[float],
     write_artifact_rows(path, ["fpr", "tpr", "threshold"], points)
 
 
-_REPORT_HEADER = [
-    "model", "split", "n", "positives", "threshold",
-    "tp", "fp", "tn", "fn", "precision", "recall", "f1", "auc",
-]
-
-
 def write_report_csv(path: str | Path,
                      reports: Sequence[tuple[str, str, EvalReport]]) -> None:
-    """One row per (model, split) with all scalar report fields."""
-    write_artifact_rows(path, _REPORT_HEADER, (
-        [model, split, r.n, r.positives, r.threshold, r.tp, r.fp, r.tn, r.fn,
-         r.precision, r.recall, r.f1, r.auc]
+    """One row per (model, split) with the scalar report fields in order."""
+    names = [f.name for f in fields(EvalReport) if f.name != "roc_points"]
+    write_artifact_rows(path, ["model", "split", *names], (
+        [model, split, *(getattr(r, name) for name in names)]
         for model, split, r in reports
     ))

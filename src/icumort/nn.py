@@ -1,8 +1,9 @@
 """From-scratch stacked LSTM with exact backpropagation through time.
 
-Three LSTM layers run over the 48 hourly feature rows from zero initial
-state; the final top-layer hidden state is concatenated with the static
-features and fed through a dense sigmoid head. Everything is float64 and the
+Three LSTM layers run over the 48 hourly rows of D features from zero
+initial state; the final top-layer hidden state is concatenated with the S
+static features and fed through a dense sigmoid head. Training takes D and S
+from its data, and a checkpoint stores them. Everything is float64 and the
 backward pass returns exact analytic gradients of the mean binary
 cross-entropy, which the test suite checks against central finite
 differences.
@@ -29,12 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .featurize import STATIC_FEATURES
-from .items import N_CHANNELS
 from .tables import read_artifact
 
-N_FEATURES = N_CHANNELS
-N_STATIC = len(STATIC_FEATURES)
 N_LAYERS = 3
 BCE_CLAMP = 1e-7
 
@@ -51,7 +48,7 @@ class LstmLayerParams:
 @dataclass
 class LstmModel:
     layers: list[LstmLayerParams]
-    head_w: np.ndarray  # (H + N_STATIC,)
+    head_w: np.ndarray  # (H + S,)
     head_b: np.ndarray  # (1,)
     hidden_size: int
 
@@ -66,8 +63,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_weights(hidden_size: int = 64, n_features: int = N_FEATURES,
-                 n_static: int = N_STATIC, seed: int = 0) -> LstmModel:
+def init_weights(hidden_size: int, n_features: int, n_static: int,
+                 seed: int) -> LstmModel:
     """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; zero biases except forget = 1."""
     if hidden_size < 1:
         raise DimensionError("hidden size must be at least 1")
@@ -163,7 +160,7 @@ class ForwardCache:
 def forward_batch(seq: np.ndarray, static: np.ndarray, model: LstmModel,
                   want_cache: bool = False
                   ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Probabilities for a batch: seq (B, T, N_FEATURES), static (B, N_STATIC)."""
+    """Probabilities for a batch: seq (B, T, D), static (B, S)."""
     seq = np.asarray(seq, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
     h = model.hidden_size

@@ -143,7 +143,18 @@ def parse_timestamp(text: str) -> datetime:
     raise ValueError(f"bad timestamp {text!r}")
 
 
+def parse_digits(text: str) -> int:
+    """The whole number that ``text`` spells in plain ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a whole number: {text!r}")
+    return int(text)
+
+
 def _parse_int(text: str) -> int:
+    # int() and float() would also take a digit-group "_" and any Unicode
+    # digit, here and in finite_float.
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer: {text!r}")
     try:
         return int(text)
     except ValueError:
@@ -157,6 +168,8 @@ def _parse_int(text: str) -> int:
 
 def finite_float(text: str) -> Optional[float]:
     """The finite float that ``text`` spells, else None (nan and inf too)."""
+    if not text.isascii() or "_" in text:
+        return None
     try:
         f = float(text)
     except ValueError:

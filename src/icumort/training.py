@@ -39,33 +39,24 @@ class EpochStats:
 
 
 class EarlyStopper:
-    """Tracks the best monitored value and counts non-improving epochs."""
+    """Tracks the lowest monitored value and counts non-improving epochs."""
 
-    def __init__(self, patience: int, mode: str = "min"):
-        if mode not in ("min", "max"):
-            raise ConfigError(f"unknown mode {mode!r}")
+    def __init__(self, patience: int):
         self.patience = patience
-        self.mode = mode
         self.best: Optional[float] = None
         self.best_epoch: Optional[int] = None
         self.bad_epochs = 0
 
     def update(self, value: float, epoch: int) -> bool:
-        """Record an epoch's value; True when it is a strict improvement."""
-        improved = (
-            self.best is None
-            or (self.mode == "min" and value < self.best)
-            or (self.mode == "max" and value > self.best)
-        )
-        if math.isnan(value):
-            improved = self.best is None
-        if improved:
-            self.best = value
-            self.best_epoch = epoch
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-        return improved
+        """Record an epoch's value; True when it is a strict improvement.
+
+        A nan compares false, so it improves only as the first value, and
+        no value improves on a nan best."""
+        if self.best is None or value < self.best:
+            self.best, self.best_epoch, self.bad_epochs = value, epoch, 0
+            return True
+        self.bad_epochs += 1
+        return False
 
     @property
     def should_stop(self) -> bool:
@@ -104,8 +95,7 @@ def train(
                          seed=derive_seed(config.seed, "init"))
     state = AdamState(lr=config.learning_rate)
     params = dict(named_params(model))
-    stopper = EarlyStopper(config.patience,
-                           mode="min" if config.monitor == "loss" else "max")
+    stopper = EarlyStopper(config.patience)
     best_model = copy_model(model)
     history: list[EpochStats] = []
 
@@ -136,8 +126,9 @@ def train(
         val_loss = bce_loss(val_scores, y_va)
         val_auc = evaluate_scores(val_scores, y_va).auc
         history.append(EpochStats(epoch, train_loss, val_loss, val_auc))
-        monitored = val_loss if config.monitor == "loss" else val_auc
-        if stopper.update(monitored, epoch):
+        # Lower is better for the stopper: the loss, or the negated AUC.
+        if stopper.update(val_loss if config.monitor == "loss" else -val_auc,
+                          epoch):
             best_model = copy_model(model)
         log.info("epoch %d: train_loss=%.5f val_loss=%.5f val_auc=%.4f",
                  epoch, train_loss, val_loss, val_auc)

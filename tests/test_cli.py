@@ -259,11 +259,11 @@ def _digests(root):
             for name, content in _tree(root).items()}
 
 
-# sha256 of every artifact of the reference run-all, with each stage log
-# hashed as sorted JSON without its wall time. The run is a child process
-# with one BLAS thread, as the bench runs it, because the model bytes depend
-# on the BLAS; the pins were taken with numpy 2.4.6. A deliberate change to
-# any of these bytes updates its pin.
+# sha256 of every artifact of the reference run-all in each featurize mode,
+# with each stage log hashed as sorted JSON without its wall time. The run is
+# a child process with one BLAS thread, as the bench runs it, because the
+# model bytes depend on the BLAS; the pins were taken with numpy 2.4.6. A
+# deliberate change to any of these bytes updates its pin.
 _RUN_SHA256 = {
     "cohort.csv":
         "f9adad64261f78189f5f88b423ec93d81e8ba29e05f6b89679996c0eb61f0381",
@@ -320,15 +320,82 @@ _RUN_SHA256 = {
 }
 
 
-def test_run_all_artifacts_keep_their_bytes(tmp_path):
+# The other two modes share the data tables, the cohort and the featurize
+# log with the default run.
+_LITERAL_RUN_SHA256 = {
+    **_RUN_SHA256,
+    "features_seq.csv":
+        "72f8a5ef51f4be145a63c846512e4ed785191f03911deef7ec6a72931129073b",
+    "features_static.csv":
+        "a4a2bcc1172a660d0b136af39fc92956f413248c1f1fdcb59f6e266db0be1f9e",
+    "logreg_checkpoint.txt":
+        "4baeb6b73f6a27c2e1b91ab231c291f90958003391ca3dc69263ba2ad41c50c4",
+    "logs/evaluate_log.json":
+        "8fe22865cfa0356c37fdd30041917d5f90a527ef693a1d13c05b552d0900899c",
+    "logs/train_log.json":
+        "6b0c3d7509aef6c5ace4a4f2e6485c9e228d97fce03de2764cd6ff14afaaa959",
+    "lstm_checkpoint.bin":
+        "6adf01609504f8f895e904fee201d91f551df830af311ad730c42fe6d5a5e178",
+    "lstm_checkpoint.manifest.txt":
+        "a54bff3d96e152049a93e2aff64ec0b3ec4fc1e5f87a83246ef7e2dfca3d3e08",
+    "metrics_report.csv":
+        "9488f541b095b1f4f7958c61b26f13b87a5a20d26af07d43193bb24465d1098b",
+    "model_comparison.csv":
+        "da701220c585158d0f06c95a02f49c4ad43ce18766a13cb1951a569e07fc0ea3",
+    "population_stats.json":
+        "c0cbf1c8e691ef7dba0b4ccd3bafd82308e301e5f80e3b693fa902d577dff37f",
+    "roc_logreg_test.csv":
+        "360437e7aaad3e969633912fb80c7d29f563071bbfae08f8ebbe19db99d807ee",
+    "roc_lstm_test.csv":
+        "f6e2778c816fe320598377877b52d102dc696c76342b2fe25788fc1f98b752ce",
+    "training_history.csv":
+        "c97cbcc94606aac733f30422ed4b19cc4d266e403a771bad84ee4c97cc261d6d",
+}
+_NO_STANDARDIZE_RUN_SHA256 = {
+    **_RUN_SHA256,
+    "features_seq.csv":
+        "4f34e3e1a6d9e5725a8e5d720a4b74bdbacc710db2a73bcf1b7fb340ea454f25",
+    "features_static.csv":
+        "95913d001b744a9f7710dfea6dfa7a49ee0326b4ac9d04d5f746579a790f02b3",
+    "logreg_checkpoint.txt":
+        "64d2b460ff22b4c5456e7fd52e290a8ac5eda2e72f022b54bcc2b5ed85d9349b",
+    "logs/evaluate_log.json":
+        "8525d9380b9b89c2dd329c3775ff3abc7f8e90c97633bc28d1566b03c59ab14a",
+    "logs/train_log.json":
+        "6e5c08bb1ce32fbcd5c5b0ae47c3df29b53a4efb76d2b3286c51548306f5d4ca",
+    "lstm_checkpoint.bin":
+        "1682577d7d4605b12052d061de9c8ddb6c8a7e496b7b0827a6c69ef3a812bffa",
+    "lstm_checkpoint.manifest.txt":
+        "f17ccc98ba88280b59ba411413363bdaae8d8e0f769ccdc8295b384759a35beb",
+    "metrics_report.csv":
+        "bda849d3c4e8fdeb91af67e03cb1c1d704a6691fd7926d7da863c6b0f61528ef",
+    "model_comparison.csv":
+        "c66759e55ffc2935821524b3ad7382ab2318e18bb261fe77cd67fcc121fe1103",
+    "population_stats.json":
+        "d69136c2cc92f512e456fd670ec9e07a95a9ed9f77c8239d1444db4d28534690",
+    "roc_logreg_test.csv":
+        "9b5ef4431895bea073ec492e6d6b39da0d373a477dc541ac6c6bcd424b69cd49",
+    "roc_lstm_test.csv":
+        "878a2c6bb11bb65ef1e7ce94d1a4ae4280b6cf54063bfc18057023320b2a6c9d",
+    "training_history.csv":
+        "134e05101860c159ce43f89d6f8c482b308e66fd0294dd688dddae02644a388d",
+}
+
+
+@pytest.mark.parametrize("flags, pinned", [
+    ([], _RUN_SHA256),
+    (["--literal-means", "--literal-urine-pick"], _LITERAL_RUN_SHA256),
+    (["--no-standardize"], _NO_STANDARDIZE_RUN_SHA256),
+], ids=["default", "literal", "no-standardize"])
+def test_run_all_artifacts_keep_their_bytes(tmp_path, flags, pinned):
     out = tmp_path / "run"
     env = dict(_child_env(), **dict.fromkeys(
         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     proc = subprocess.run(
         [sys.executable, "-m", "icumort.cli", "run-all", "--out", str(out),
-         *_RUN], env=env, capture_output=True, text=True, timeout=120)
+         *_RUN, *flags], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert _digests(out) == _RUN_SHA256
+    assert _digests(out) == pinned
 
 
 _FEATURES = ("features_seq.csv", "features_static.csv", "population_stats.json")
@@ -499,10 +566,29 @@ def test_bad_config_file_is_one_error_line(tmp_path, capsys, content,
     assert message in err[0]
 
 
+_ARABIC_INDIC_DIGITS = str.maketrans("0123456789",
+                                     "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _garbles(cell):
+    """Text no artifact holds, in place of a cell: a word and, for a cell
+    that starts with a digit, the cell with "_" after that digit and in
+    Arabic-Indic digits, two spellings that int() and float() accept."""
+    if not cell[:1].isdigit():
+        return ["bogus"]
+    return ["bogus", f"{cell[0]}_{cell[1:]}",
+            cell.translate(_ARABIC_INDIC_DIGITS)]
+
+
 @pytest.mark.parametrize("name, column, stages", [
     ("cohort.csv", "split", ["featurize"]),
     ("features_seq.csv", "stay_id", ["train", "evaluate"]),
     ("features_static.csv", "label", ["train", "evaluate"]),
+    ("cohort.csv", "icustay_id", ["featurize"]),
+    ("cohort.csv", "age_years", ["featurize"]),
+    ("features_seq.csv", "hour", ["train", "evaluate"]),
+    ("features_seq.csv", "c4", ["train", "evaluate"]),
+    ("features_static.csv", "stay_id", ["train", "evaluate"]),
 ])
 def test_garbled_artifact_is_one_error_line(reference_dir, tmp_path, capsys,
                                             name, column, stages):
@@ -510,15 +596,18 @@ def test_garbled_artifact_is_one_error_line(reference_dir, tmp_path, capsys,
     shutil.copytree(reference_dir, work)
     lines = (work / name).read_text().splitlines()
     cells = lines[1].split(",")
-    cells[lines[0].split(",").index(column)] = "bogus"
-    lines[1] = ",".join(cells)
-    (work / name).write_text("\n".join(lines) + "\n")
-    for stage in stages:
-        capsys.readouterr()
-        data = ["--data", str(work / "data")] if stage == "featurize" else []
-        assert main([stage, *data, "--work", str(work), *_SEED]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {work / name}:2: ")
+    index = lines[0].split(",").index(column)
+    for garble in _garbles(cells[index]):
+        garbled = [*cells[:index], garble, *cells[index + 1:]]
+        (work / name).write_text(
+            "\n".join([lines[0], ",".join(garbled), *lines[2:]]) + "\n")
+        for stage in stages:
+            capsys.readouterr()
+            data = ["--data", str(work / "data")] if stage == "featurize" else []
+            assert main([stage, *data, "--work", str(work), *_SEED]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1, (garble, err)
+            assert err[0].startswith(f"error: {work / name}:2: "), (garble, err)
 
 
 @pytest.mark.parametrize("new_stay_id, repeated", [
@@ -623,6 +712,8 @@ def _truncate_labevents_gz(data):
 
 
 _REGISTRY_HEADER = "item_id,channel,subrole,source_table\n"
+_ICD9_FLAGS = ("flag,code_lo,code_hi\naids,{},{}\nhem_malig,200,208.99\n"
+               "metastatic,196,199.1\n")
 
 
 @pytest.mark.parametrize("stage, garble, option, content, message", [
@@ -638,8 +729,15 @@ _REGISTRY_HEADER = "item_id,channel,subrole,source_table\n"
      "line 3: expected 4 fields, found 2"),
     ("featurize", None, "--registry", None, "No such file or directory"),
     ("cohort", None, "--icd9-flags", None, "No such file or directory"),
+    # A nan bound would never match a code, and an infinite one would leave
+    # the range open-ended.
+    ("cohort", None, "--icd9-flags", _ICD9_FLAGS.format("nan", "043"),
+     "line 2: expected a flag and two numeric bounds"),
+    ("cohort", None, "--icd9-flags", _ICD9_FLAGS.format("042", "inf"),
+     "line 2: expected a flag and two numeric bounds"),
 ], ids=["labevents-not-utf8", "labevents-truncated-gz", "registry-bad-id",
-        "registry-two-fields", "registry-missing", "icd9-flags-missing"])
+        "registry-two-fields", "registry-missing", "icd9-flags-missing",
+        "icd9-flags-nan-bound", "icd9-flags-inf-bound"])
 def test_bad_raw_input_is_one_error_line(reference_dir, tmp_path, capsys,
                                          stage, garble, option, content,
                                          message):

@@ -92,7 +92,7 @@ def test_parse_numeric_prefers_numeric_column():
 def test_parse_numeric_error_text_is_missing():
     assert parse_numeric(None, "ERROR") is None
     assert parse_numeric(None, None) is None
-    for text in ("nan", "inf", "-inf", "1e999"):
+    for text in ("nan", "inf", "-inf", "1e999", "1_0.5", "\u0661\u0662"):
         assert parse_numeric(None, text) is None
 
 

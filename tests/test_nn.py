@@ -19,6 +19,12 @@ from icumort.nn import (
 )
 
 
+def make_model(hidden_size, seed):
+    """A model of the pipeline's widths: 13 hourly channels, 7 static features."""
+    return init_weights(hidden_size=hidden_size, n_features=13, n_static=7,
+                        seed=seed)
+
+
 def scalar_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
     """Independent scalar reference for one LSTM step (pure Python loops)."""
     hidden = len(h_prev)
@@ -190,7 +196,7 @@ class TestCell:
         assert np.max(np.abs(c_t[0] - np.array(c_ref))) < 1e-12
 
     def test_shape_mismatch_reported(self):
-        model = init_weights(hidden_size=2, seed=0)
+        model = make_model(hidden_size=2, seed=0)
         with pytest.raises(DimensionError):
             forward_batch(np.zeros((1, 4, 5)), np.zeros((1, 7)), model)
         with pytest.raises(DimensionError):
@@ -199,14 +205,14 @@ class TestCell:
 
 class TestForward:
     def test_zero_weights_give_half(self):
-        model = init_weights(hidden_size=4, seed=0)
+        model = make_model(hidden_size=4, seed=0)
         for _, arr in named_params(model):
             arr[:] = 0.0
         p = forward(np.zeros((48, 13)), np.zeros(7), model)
         assert p == 0.5
 
     def test_sequence_order_matters(self):
-        model = init_weights(hidden_size=8, seed=3)
+        model = make_model(hidden_size=8, seed=3)
         rng = np.random.default_rng(5)
         seq = rng.normal(size=(48, 13))
         static = rng.normal(size=7)
@@ -215,21 +221,21 @@ class TestForward:
         assert p1 != p2
 
     def test_batch_of_identical_rows_is_constant(self):
-        model = init_weights(hidden_size=4, seed=1)
+        model = make_model(hidden_size=4, seed=1)
         seq = np.tile(np.random.default_rng(0).normal(size=(1, 10, 13)), (5, 1, 1))
         static = np.tile(np.random.default_rng(1).normal(size=(1, 7)), (5, 1))
         p, _ = forward_batch(seq, static, model)
         assert np.all(p == p[0])
 
     def test_nonfinite_input_rejected(self):
-        model = init_weights(hidden_size=4, seed=1)
+        model = make_model(hidden_size=4, seed=1)
         seq = np.zeros((48, 13))
         seq[0, 0] = np.nan
         with pytest.raises(DataError):
             forward(seq, np.zeros(7), model)
 
     def test_batch_matches_one_by_one(self):
-        model = init_weights(hidden_size=16, seed=9)
+        model = make_model(hidden_size=16, seed=9)
         rng = np.random.default_rng(2)
         seq = rng.normal(size=(7, 48, 13))
         static = rng.normal(size=(7, 7))
@@ -239,7 +245,7 @@ class TestForward:
 
     @pytest.mark.parametrize("batch", [1, 7, 33])
     def test_whole_sequence_and_gradients_match_reference(self, batch):
-        model = init_weights(hidden_size=64, seed=batch)
+        model = make_model(hidden_size=64, seed=batch)
         rng = np.random.default_rng(batch)
         seq = rng.normal(size=(batch, 48, 13))
         static = rng.normal(size=(batch, 7))
@@ -253,7 +259,7 @@ class TestForward:
 
     @pytest.mark.parametrize("batch", [1, 7, 33])
     def test_cache_leaves_probabilities_bit_identical(self, batch):
-        model = init_weights(hidden_size=64, seed=4)
+        model = make_model(hidden_size=64, seed=4)
         rng = np.random.default_rng(batch)
         seq = rng.normal(size=(batch, 48, 13))
         static = rng.normal(size=(batch, 7))
@@ -285,7 +291,7 @@ class TestLoss:
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(77)
-        model = init_weights(hidden_size=4, seed=21)
+        model = make_model(hidden_size=4, seed=21)
         seq = rng.normal(size=(3, 6, 13))
         static = rng.normal(size=(3, 7))
         labels = np.array([1.0, 0.0, 1.0])
@@ -296,7 +302,7 @@ class TestBackward:
         assert rel.max() < 1e-4
 
     def test_balanced_batch_at_half_has_zero_head_bias_gradient(self):
-        model = init_weights(hidden_size=4, seed=2)
+        model = make_model(hidden_size=4, seed=2)
         for _, arr in named_params(model):
             arr[:] = 0.0  # p == 0.5 for every sample
         seq = np.zeros((2, 5, 13))
@@ -307,7 +313,7 @@ class TestBackward:
 
     def test_duplicated_batch_leaves_mean_gradient_unchanged(self):
         rng = np.random.default_rng(8)
-        model = init_weights(hidden_size=3, seed=5)
+        model = make_model(hidden_size=3, seed=5)
         seq = rng.normal(size=(3, 4, 13))
         static = rng.normal(size=(3, 7))
         labels = np.array([1.0, 0.0, 0.0])
@@ -323,14 +329,14 @@ class TestBackward:
 
 class TestInit:
     def test_same_seed_bitwise_identical(self):
-        a = init_weights(hidden_size=8, seed=4)
-        b = init_weights(hidden_size=8, seed=4)
+        a = make_model(hidden_size=8, seed=4)
+        b = make_model(hidden_size=8, seed=4)
         for (_, x), (_, y) in zip(named_params(a), named_params(b)):
             assert np.array_equal(x, y)
 
     def test_weights_within_bound(self):
         h = 16
-        model = init_weights(hidden_size=h, seed=1)
+        model = make_model(hidden_size=h, seed=1)
         bound = 1.0 / math.sqrt(h)
         for name, arr in named_params(model):
             if not name.endswith(".b"):
@@ -338,7 +344,7 @@ class TestInit:
 
     def test_forget_bias_slice_is_one(self):
         h = 8
-        model = init_weights(hidden_size=h, seed=1)
+        model = make_model(hidden_size=h, seed=1)
         for layer in model.layers:
             assert np.all(layer.b[h : 2 * h] == 1.0)
             assert np.all(layer.b[:h] == 0.0)
@@ -346,7 +352,7 @@ class TestInit:
         assert model.head_b[0] == 0.0
 
     def test_three_layers_with_documented_widths(self):
-        model = init_weights(hidden_size=8, seed=0)
+        model = make_model(hidden_size=8, seed=0)
         assert len(model.layers) == 3
         assert model.layers[0].w_x.shape == (32, 13)
         assert model.layers[1].w_x.shape == (32, 8)
@@ -356,7 +362,7 @@ class TestInit:
 
 class TestPredictAndCheckpoint:
     def test_predict_is_pure_and_bounded(self):
-        model = init_weights(hidden_size=4, seed=6)
+        model = make_model(hidden_size=4, seed=6)
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(9, 48, 13))
         static = rng.normal(size=(9, 7))
@@ -368,7 +374,7 @@ class TestPredictAndCheckpoint:
         assert np.all((s1 > 0.0) & (s1 < 1.0))
 
     def test_checkpoint_round_trip_is_exact(self, tmp_path):
-        model = init_weights(hidden_size=8, seed=13)
+        model = make_model(hidden_size=8, seed=13)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -390,7 +396,7 @@ class TestPredictAndCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_header_or_shape_record_rejected(self, tmp_path):
-        model = init_weights(hidden_size=2, seed=0)
+        model = make_model(hidden_size=2, seed=0)
         full = tmp_path / "model.bin"
         save_checkpoint(model, full)
         blob = full.read_bytes()
@@ -402,7 +408,7 @@ class TestPredictAndCheckpoint:
                 load_checkpoint(path)
 
     def test_inconsistent_shapes_rejected(self, tmp_path):
-        model = init_weights(hidden_size=2, seed=0)
+        model = make_model(hidden_size=2, seed=0)
         model.layers[1].b = np.zeros(5)
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)

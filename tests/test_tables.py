@@ -169,7 +169,10 @@ def test_every_column_lands_in_its_own_field(parse_text, schema, row,
     assert dataclasses.asdict(records[0]) == expected
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "nan"])
+# Besides the non-finite ids: a digit-group "_" and non-ASCII digits, which
+# int() and float() accept.
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "nan", "2_0",
+                                   "\u0663", "1_0.0", "\u0661\u0662.0"])
 @pytest.mark.parametrize("schema, text", [
     (CHARTEVENTS, "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
                   "{},211,2101-01-01 10:00:00,80\n1,211,2101-01-01 11:00:00,81\n"),

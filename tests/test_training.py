@@ -1,16 +1,22 @@
+import math
+import os
 import platform
 import resource
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icumort
 from icumort.cli import _keep_freed_heap
 from icumort.errors import ConfigError
 from icumort.nn import predict
 from icumort.training import EarlyStopper, EpochStats, TrainConfig, train
-from icumort.metrics import auc_oracle
+from icumort.metrics import auc_oracle, evaluate_scores
 
 
 def toy_dataset(n, seed, separation=2.0, steps=12):
@@ -27,7 +33,7 @@ class TestEarlyStopper:
     def test_hand_traced_stopping_rule(self):
         # Losses [0.7, 0.6, 0.65, 0.66, 0.67] with patience 3: best at epoch
         # 2, three non-improving epochs after it, stop after epoch 5.
-        stopper = EarlyStopper(patience=3, mode="min")
+        stopper = EarlyStopper(patience=3)
         stops = []
         for epoch, value in enumerate([0.7, 0.6, 0.65, 0.66, 0.67], start=1):
             stopper.update(value, epoch)
@@ -37,7 +43,7 @@ class TestEarlyStopper:
         assert stopper.best == 0.6
 
     def test_zero_patience_stops_after_the_first_worse_epoch(self):
-        stopper = EarlyStopper(patience=0, mode="min")
+        stopper = EarlyStopper(patience=0)
         stops = []
         for epoch, value in enumerate([1.0, 0.5, 0.7], start=1):
             stopper.update(value, epoch)
@@ -45,12 +51,27 @@ class TestEarlyStopper:
         assert stops == [False, False, True]
 
     def test_max_mode(self):
-        stopper = EarlyStopper(patience=2, mode="max")
-        assert stopper.update(0.6, 1) is True
-        assert stopper.update(0.7, 2) is True
-        assert stopper.update(0.65, 3) is False
-        assert stopper.update(0.66, 4) is False
+        # An AUC is monitored as its negation, so a higher AUC improves.
+        stopper = EarlyStopper(patience=2)
+        assert stopper.update(-0.6, 1) is True
+        assert stopper.update(-0.7, 2) is True
+        assert stopper.update(-0.65, 3) is False
+        assert stopper.update(-0.66, 4) is False
         assert stopper.should_stop
+
+    def test_nan_improves_only_as_the_first_value(self):
+        stopper = EarlyStopper(patience=2)
+        assert stopper.update(float("nan"), 1) is True
+        assert math.isnan(stopper.best) and stopper.best_epoch == 1
+        assert stopper.update(float("nan"), 2) is False
+        assert stopper.update(float("nan"), 3) is False
+        assert math.isnan(stopper.best) and stopper.best_epoch == 1
+        assert stopper.should_stop
+        # After a finite best, a nan is one more non-improving epoch.
+        stopper = EarlyStopper(patience=2)
+        assert stopper.update(0.5, 1) is True
+        assert stopper.update(float("nan"), 2) is False
+        assert (stopper.best, stopper.best_epoch, stopper.bad_epochs) == (0.5, 1, 1)
 
 
 class TestTrain:
@@ -94,6 +115,19 @@ class TestTrain:
         assert returned_loss == pytest.approx(
             min(h.val_loss for h in history), abs=1e-12
         )
+
+    def test_best_weights_match_maximum_recorded_val_auc(self):
+        # At these seeds the validation AUC peaks at epoch 2 and then falls,
+        # so the returned model is not the last one.
+        data = toy_dataset(24, seed=34, separation=0.5)
+        val = toy_dataset(16, seed=134, separation=0.1)
+        config = TrainConfig(batch_size=8, max_epochs=8, patience=8, seed=34,
+                             hidden_size=4, learning_rate=0.05, monitor="auc")
+        model, history = train(data, val, config)
+        aucs = [h.val_auc for h in history]
+        assert len(history) == 8 and max(aucs) > aucs[-1]
+        scores = predict(model, val[0], val[1])
+        assert evaluate_scores(scores, val[2]).auc == max(aucs)
 
     def test_partial_final_batch_is_trained(self):
         # 10 samples at batch size 8 leaves a remainder batch of 2; training
@@ -170,3 +204,21 @@ class TestTrain:
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(monitor="accuracy").validate()
+
+
+def test_model_half_imports_no_data_half_module():
+    # The model modules take their widths from the arrays they are given, so
+    # they need none of the modules that build those arrays.
+    src = str(Path(icumort.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import icumort.nn, icumort.training, icumort.adam, icumort.metrics\n"
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "icumort.training" in loaded
+    assert loaded & {"icumort.featurize", "icumort.items", "icumort.cohort",
+                     "icumort.synth"} == set()
