@@ -430,8 +430,6 @@ def run_all(args: dict) -> None:
     stage_evaluate(stage_args)
 
 
-# Config fields no option sets; of these, the stages derive only ``seed``.
-_DERIVED_FIELDS = frozenset({"seed", "missing_rate", "shuffle"})
 # Option names that differ from their config field names.
 _OPTION_NAMES = {"n_patients": "synth_patients", "signal_mode": "signal",
                  "hidden_size": "hidden"}
@@ -440,7 +438,8 @@ _INT_OPTIONS = frozenset({"seed", "synth_patients"})
 
 
 def _config_fields(config_cls) -> list:
-    return [f for f in fields(config_cls) if f.name not in _DERIVED_FIELDS]
+    """The fields of a config that are options: all but the derived seed."""
+    return [f for f in fields(config_cls) if f.name != "seed"]
 
 
 def _config_defaults(config_cls) -> dict:

@@ -1,27 +1,17 @@
 """Run configurations of the synth and train stages, with their defaults.
 
-The fields of these dataclasses, with their defaults, are also the synth and
-train options of the command line. This module needs only the standard
-library, so building the command-line parser loads no stage module.
+The fields of these dataclasses are exactly the synth and train options of
+the command line, with their defaults, plus the ``seed`` that each stage
+derives from ``--seed``. This module needs only the standard library, so
+building the command-line parser loads no stage module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
-
-
-def _default_missing() -> dict[str, float]:
-    # Probability that a given hour has no measurement, per channel. Vitals
-    # are charted most hours; labs are drawn a few times a day.
-    return {
-        "GCS": 0.35, "SBP": 0.25, "HeartRate": 0.15, "TempF": 0.5,
-        "PaO2": 0.88, "FiO2": 0.8, "UrineOutput": 0.3, "BUN": 0.9,
-        "WBC": 0.9, "Bicarbonate": 0.9, "Sodium": 0.88, "Potassium": 0.88,
-        "Bilirubin": 0.92,
-    }
 
 
 @dataclass
@@ -36,7 +26,6 @@ class SynthConfig:
     signal_mode: str = "none"
     effect_size: float = 1.0
     missing_scale: float = 1.0
-    missing_rate: dict[str, float] = field(default_factory=_default_missing)
     celsius_rate: float = 0.25
     error_text_rate: float = 0.05
     duplicate_rate: float = 0.05
@@ -45,18 +34,11 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_patients < 5:
             raise ConfigError("n_patients must be at least 5")
-        values = asdict(self)
-        for name, value in values.items():
+        for name, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        # Every *_rate and *_frac field is a probability, and so is each
-        # per-channel missing rate.
-        rates = {name: value for name, value in values.items()
-                 if name.endswith(("_rate", "_frac")) and name != "missing_rate"}
-        rates.update((f"missing_rate[{k}]", v)
-                     for k, v in self.missing_rate.items())
-        for name, value in rates.items():
-            if not 0.0 <= value <= 1.0:
+            # Every *_rate and *_frac field is a probability.
+            if name.endswith(("_rate", "_frac")) and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.age_min >= self.age_max or self.age_min < 0:
             raise ConfigError("age range must satisfy 0 <= age_min < age_max")
@@ -72,7 +54,6 @@ class TrainConfig:
     max_epochs: int = 10
     patience: int = 3
     seed: int = 0
-    shuffle: bool = True
     learning_rate: float = 0.001
     hidden_size: int = 64
     monitor: str = "loss"  # "loss" (minimize) or "auc" (maximize)

@@ -240,9 +240,8 @@ def collect_stay_events(data_dir: str | Path, cohort: Sequence[CohortStay],
         "events_unparseable_value": 0,
         "events_malformed": 0,
     }
-    for table in ("chartevents", "labevents", "outputevents"):
-        path = table_path(data_dir, table)
-        rows, stats = parse_table(path, EVENT_SCHEMAS[table])
+    for table, schema in EVENT_SCHEMAS.items():
+        rows, stats = parse_table(table_path(data_dir, table), schema)
         for event in rows:
             item = registry.get(event.item_id)
             if item is None:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError
-from .tables import CsvInput, finite_float, parse_digits
+from .tables import EVENT_SCHEMAS, CsvInput, finite_float, parse_digits
 
 # The subroles a channel's items may carry; other channels' items are plain.
 CHANNEL_SUBROLES = {
@@ -24,8 +24,6 @@ CHANNEL_SUBROLES = {
     "TempF": ("temp_f", "temp_c"),
     "UrineOutput": ("plain", "urine_in_irrigant", "urine_out_irrigant"),
 }
-
-SOURCE_TABLES = ("chartevents", "labevents", "outputevents")
 
 # Column order of the hourly feature matrix. Fixed here, never inferred from
 # registry file row order.
@@ -43,7 +41,7 @@ class Item(NamedTuple):
 
     channel: int  # the channel's column in CHANNELS order
     subrole: str
-    table: str  # one of SOURCE_TABLES
+    table: str  # a key of tables.EVENT_SCHEMAS
 
 
 def load_registry(path: str | Path | None = None) -> dict[int, Item]:
@@ -82,7 +80,7 @@ def load_registry(path: str | Path | None = None) -> dict[int, Item]:
         if subrole not in CHANNEL_SUBROLES.get(channel_name, ("plain",)):
             raise ConfigError(f"{where}: subrole {subrole!r} does not fit "
                               f"channel {channel_name}")
-        if table not in SOURCE_TABLES:
+        if table not in EVENT_SCHEMAS:
             raise ConfigError(f"{where}: unknown table {table!r}")
         if item_id in registry:
             raise ConfigError(f"{where}: duplicate item id {item_id}")

@@ -132,6 +132,16 @@ _VALUE_MODEL = {
     "Bilirubin": (1.2, 0.8, 0.15, 2),
 }
 
+# Probability that a given hour has no measurement, per channel, before
+# ``missing_scale``. Vitals are charted most hours; labs are drawn a few
+# times a day.
+_MISSING_RATE = {
+    "GCS": 0.35, "SBP": 0.25, "HeartRate": 0.15, "TempF": 0.5,
+    "PaO2": 0.88, "FiO2": 0.8, "UrineOutput": 0.3, "BUN": 0.9,
+    "WBC": 0.9, "Bicarbonate": 0.9, "Sodium": 0.88, "Potassium": 0.88,
+    "Bilirubin": 0.92,
+}
+
 # Drift injected for positive-label stays in temporal_trend mode, reached
 # linearly across hours 24-47: rising heart rate and fever, falling systolic
 # pressure. The class means coincide at hour 47.
@@ -317,7 +327,7 @@ def _stay_channel_values(rng: np.random.Generator, channel: str,
 
 def _presence_mask(rng: np.random.Generator, config: SynthConfig,
                    channel: str, horizon: int) -> np.ndarray:
-    p_missing = min(1.0, config.missing_rate[channel] * config.missing_scale)
+    p_missing = min(1.0, _MISSING_RATE[channel] * config.missing_scale)
     return rng.random(horizon) >= p_missing
 
 
@@ -387,7 +397,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> dict:
     injections = anomalies.manifest_entries() if anomalies else None
     (out_dir / MANIFEST_NAME).write_text(json.dumps(
         {"config": asdict(config), "counts": counts, "injections": injections},
-        indent=1, sort_keys=True) + "\n")
+        sort_keys=True) + "\n")
     return {
         **counts,
         **{f"{name.lower()}_rows": w.rows for name, w in writers.items()},
@@ -484,7 +494,7 @@ def _write_stay_events(writers, registry: dict[int, Item],
 
 
 _UNITS = {
-    678: "?F", 223761: "?F", 676: "?C", 223762: "?C",
+    678: "?F", 223761: "?F",
     211: "bpm", 220045: "bpm",
     51: "mmHg", 442: "mmHg", 455: "mmHg", 6701: "mmHg", 220179: "mmHg",
     220050: "mmHg", 50821: "mmHg",

@@ -151,23 +151,18 @@ def parse_digits(text: str) -> int:
 
 
 def _parse_int(text: str) -> int:
-    # int() and float() would also take a digit-group "_" and any Unicode
-    # digit, here and in finite_float.
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an integer: {text!r}")
-    try:
+    if text.isascii() and text.isdigit():
         return int(text)
-    except ValueError:
-        pass
-    # Some exports format integer ids as floats ("123.0").
-    f = float(text)
-    if not f.is_integer():
+    # Some exports write integer ids as floats: digits, ".", then only zeros.
+    whole, dot, zeros = text.partition(".")
+    if not dot or zeros.strip("0"):
         raise ValueError(f"not an integer: {text!r}")
-    return int(f)
+    return parse_digits(whole)
 
 
 def finite_float(text: str) -> Optional[float]:
     """The finite float that ``text`` spells, else None (nan and inf too)."""
+    # float() would also take a digit-group "_" and any Unicode digit.
     if not text.isascii() or "_" in text:
         return None
     try:

@@ -101,8 +101,7 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(n))
-        if config.shuffle:
-            SplitMix64(derive_seed(config.seed, "epoch", epoch)).shuffle(order)
+        SplitMix64(derive_seed(config.seed, "epoch", epoch)).shuffle(order)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]

@@ -199,6 +199,22 @@ def test_a_second_run_gives_identical_bytes(reference_run, tmp_path):
     assert _tree(out) == reference_run
 
 
+def test_recorded_configs_hold_only_options_and_the_seed(reference_run):
+    # The seed a stage derives from --seed is the one recorded field that no
+    # option sets under its own name.
+    manifest = json.loads(reference_run["data/synth_manifest.json"])
+    lines = reference_run["lstm_checkpoint.manifest.txt"].decode().splitlines()
+    recorded = {
+        "synth": set(manifest["config"]),
+        "train": {line.split()[0].removeprefix("train.") for line in lines
+                  if line.startswith("train.")},
+    }
+    for command, keys in recorded.items():
+        options = {cli._OPTION_NAMES.get(key, key) for key in keys}
+        assert "seed" in options
+        assert options <= set(cli._DEFAULTS[command]), command
+
+
 def test_config_file_values_match_flags_and_flags_win(reference_run, tmp_path):
     same = tmp_path / "same.cfg"
     same.write_text(
@@ -286,7 +302,7 @@ _RUN_SHA256 = {
     "data/logs/synth_log.json":
         "c7954bfe950e4657763dcfd538ebec3dfe952a2ea5a3ef3466adcc542508d919",
     "data/synth_manifest.json":
-        "aac0306794c49477c13d4d54477a1112176bb47a105a14d47a4f2dcc3b569c4a",
+        "871b269351f645e2f302d4da48abd708760cc284b5b0621aa1c8c53113b42b96",
     "features_seq.csv":
         "56c44c969ac368397af97d742ae194f87ba77998b58299489e9dc026bebdf152",
     "features_static.csv":
@@ -304,7 +320,7 @@ _RUN_SHA256 = {
     "lstm_checkpoint.bin":
         "ff6a5b6cd144bb3df65407fab1f45352f211fde1d8146aee48a67ab2b01601b0",
     "lstm_checkpoint.manifest.txt":
-        "92cbdca6e119a4889998f4021e36f9b4c82f62e499066ecac10c46ab3932556a",
+        "814a3679780d503e208950fc9634db1f9359558ece9324dc3fc92653163a90bf",
     "metrics_report.csv":
         "1b8f3d292f61c7467bb0aebc1d4d8ba69fbba741ff5eb29af192532d96125df4",
     "model_comparison.csv":
@@ -337,7 +353,7 @@ _LITERAL_RUN_SHA256 = {
     "lstm_checkpoint.bin":
         "6adf01609504f8f895e904fee201d91f551df830af311ad730c42fe6d5a5e178",
     "lstm_checkpoint.manifest.txt":
-        "a54bff3d96e152049a93e2aff64ec0b3ec4fc1e5f87a83246ef7e2dfca3d3e08",
+        "2c8c1dfd4a0580998cb04a3338b55a154f8d2db2cc0a5360d45675c20d38d452",
     "metrics_report.csv":
         "9488f541b095b1f4f7958c61b26f13b87a5a20d26af07d43193bb24465d1098b",
     "model_comparison.csv":
@@ -366,7 +382,7 @@ _NO_STANDARDIZE_RUN_SHA256 = {
     "lstm_checkpoint.bin":
         "1682577d7d4605b12052d061de9c8ddb6c8a7e496b7b0827a6c69ef3a812bffa",
     "lstm_checkpoint.manifest.txt":
-        "f17ccc98ba88280b59ba411413363bdaae8d8e0f769ccdc8295b384759a35beb",
+        "d8ac1895104e2d3718a9a785e62f0c3c5d6c5645fded2eefdf44d26df0e618ca",
     "metrics_report.csv":
         "bda849d3c4e8fdeb91af67e03cb1c1d704a6691fd7926d7da863c6b0f61528ef",
     "model_comparison.csv":

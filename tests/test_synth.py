@@ -286,7 +286,7 @@ _PINNED_SHA256 = {
     "OUTPUTEVENTS.csv": "e63ea59195ddb80b4cd6e97c3961158f97d2ad92f6d44651956b2cc7d0c79998",
     "PATIENTS.csv": "1a661a7fe64a03af298541d1e83067f2342d1b1e2f535a5a84423e372ee44a92",
     "SERVICES.csv": "d25e26b0b25b256cec3f3027be558c581777b099a552c02fe9f100609298c942",
-    "synth_manifest.json": "3c2566a08ec6ed1f1545eede717d94f74245fde91b0781a9503b4be0691ef298",
+    "synth_manifest.json": "b2e8177f89393fa8a590d31dad7281f789aa403f387b2db9d3838116f312caa7",
 }
 
 
@@ -324,14 +324,14 @@ _TREND_SHA256 = {
         "CHARTEVENTS.csv": "c5a4fe6acc79d2c3d5ea233e2d3cb32a3b886fe97cb23e6d8020303136817852",
         "LABEVENTS.csv": "5ac5fcac367eca4907e915b1ecce094b7441f4f5b102c0e5db4af949c8ca2cfb",
         "OUTPUTEVENTS.csv": "cc7f2738055077a3ee6975625224453b9d38dec877d0698ebeae29559c5d63fb",
-        "synth_manifest.json": "1c308c8d889466d64ac14891df1f66c3cb4d279dd7f26d993b8339fc5a4dd951",
+        "synth_manifest.json": "39d9692436349eded690e404aa0b114405a1e6c09fbd86003b70e80368a13e1d",
     },
     "injected": {
         **_SHARED_TREND_SHA256,
         "CHARTEVENTS.csv": "41d01adfe75e33fed7ae4f6eea3ac4c0067e30369fde93c9f14f984f5b8c8288",
         "LABEVENTS.csv": "6669743d0cac307cd5f02cf8b70c0e6d5f1a95e7d3aefd38132f3590060c3a71",
         "OUTPUTEVENTS.csv": "e37100b24786862e0b2cef60414147d04c12c6510aa785dd33f54eec4069d3f3",
-        "synth_manifest.json": "b9cb84f78c56bd94097a6e6ce94ac7192b1bce62e37b55923d7d18b2e090c5db",
+        "synth_manifest.json": "b17f7559d93bf3acbb330b61c44079561c8d6c2118ff0fb712a09b47f5e304b5",
     },
 }
 

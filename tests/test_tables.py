@@ -170,9 +170,11 @@ def test_every_column_lands_in_its_own_field(parse_text, schema, row,
 
 
 # Besides the non-finite ids: a digit-group "_" and non-ASCII digits, which
-# int() and float() accept.
+# int() and float() accept, and a sign, an exponent or no whole part, which
+# float() accepts.
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "nan", "2_0",
-                                   "\u0663", "1_0.0", "\u0661\u0662.0"])
+                                   "\u0663", "1_0.0", "\u0661\u0662.0",
+                                   "-5", "+5", "1e3", ".0"])
 @pytest.mark.parametrize("schema, text", [
     (CHARTEVENTS, "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
                   "{},211,2101-01-01 10:00:00,80\n1,211,2101-01-01 11:00:00,81\n"),
@@ -187,9 +189,10 @@ def test_non_finite_id_is_a_malformed_row(parse_text, schema, text, value):
 
 
 def test_integral_float_id_is_accepted(parse_text):
-    text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n7.0,211.0,2101-01-01,80\n"
+    text = ("SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n7.0,211.0,2101-01-01,80\n"
+            "7.,211.00,2101-01-01,80\n")
     records, _ = parse_text(text)
-    assert (records[0].subject_id, records[0].item_id) == (7, 211)
+    assert [(r.subject_id, r.item_id) for r in records] == [(7, 211)] * 2
 
 
 def test_non_finite_valuenum_falls_back_to_the_text_value(parse_text):
