@@ -244,13 +244,14 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_heap() -> None:
     """Keep freed heap pages mapped, so training reuses them.
 
-    Training frees each batch's forward cache (16.6 MB at B 32, T 48, H 64)
+    Training frees each batch's forward cache (14.25 MB at B 32, T 48, H 64)
     before the next forward pass. By default glibc hands a freed heap top
     larger than twice its largest freed mmap chunk back to the system, so
-    every batch page-faulted its cache in again: about 2,700 faults a batch,
-    and a train stage 6-19% slower than with two caches alive. A 32 MB mmap
-    threshold and a 64 MB trim threshold keep those pages for the next
-    batch. C libraries without ``mallopt`` are left as they are.
+    every batch page-faulted its cache in again: about 2,700 faults a batch
+    with the former 16.6 MB cache, and a train stage 6-19% slower than with
+    two caches alive. A 32 MB mmap threshold and a 64 MB trim threshold keep
+    those pages for the next batch. C libraries without ``mallopt`` are left
+    as they are.
     """
     import ctypes
 

@@ -12,11 +12,15 @@ Gate packing order inside the 4H dimension is [input, forget, cell, output].
 One ``tanh`` over the 4H columns makes all four gates of a step, with
 sigmoid(z) = 1/2 + 1/2 tanh(z/2) on i, f and o; the head uses the exact
 ``sigmoid``. The forward cache is time-major, per layer of T steps over a
-batch of B: ``gates`` (T, B, 4H), ``tanh_c`` (T, B, H), and the hidden and
-cell states ``hs``, ``cs`` (T+1, B, H) with ``hs[0] = cs[0] = 0``, so that
-``hs[:-1]`` holds each step's previous hidden state and ``hs[1:]`` the output.
-Over the three layers that is 3 × 8 × B × (4TH + 2(T+1)H + TH) bytes, 16.6 MB
-at B 32, T 48 and H 64, plus the first layer's (T, B, D) input.
+batch of B: ``gates`` (T, B, 4H), which one matmul fills with the input
+projection x W_xᵀ + b before each step activates its row in place, and the
+hidden and cell states ``hs``, ``cs`` (T+1, B, H) with ``hs[0] = cs[0] = 0``,
+so that ``hs[:-1]`` holds each step's previous hidden state and ``hs[1:]`` the
+output. Over the three layers that is 3 × 8 × B × (4TH + 2(T+1)H) bytes,
+14.25 MB at B 32, T 48 and H 64, plus the first layer's (T, B, D) input.
+``backward_batch`` consumes the cache: each step's gate gradients overwrite
+its gates, and each layer's trace leaves the cache once its gradients are
+taken.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, TrainingError
 from .tables import read_artifact
 
 N_LAYERS = 3
@@ -115,20 +119,21 @@ def _gate_affine(h: int) -> np.ndarray:
     return affine
 
 
-def lstm_step(zx_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              w_hT: np.ndarray, gates: np.ndarray, c_t: np.ndarray,
+def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+              w_hT: np.ndarray, rec: np.ndarray, c_t: np.ndarray,
               tanh_c: np.ndarray, h_t: np.ndarray) -> None:
     """One LSTM step for a batch, written into the caller's arrays.
 
-    ``zx_t`` (B, 4H) is the step's input projection plus bias and ``w_hT``
-    (H, 4H) the transposed recurrent weights. ``gates`` (B, 4H) receives the
-    activated [i, f, g, o]; ``c_t``, ``tanh_c`` and ``h_t`` (B, H) receive
-    the new cell state, its tanh and the new hidden state.
+    ``gates`` (B, 4H) holds the step's input projection plus bias and
+    receives the activated [i, f, g, o]; ``w_hT`` (H, 4H) is the transposed
+    recurrent weights and ``rec`` (B, 4H) scratch for ``h_prev @ w_hT``.
+    ``c_t``, ``tanh_c`` and ``h_t`` (B, H) receive the new cell state, its
+    tanh and the new hidden state.
     """
     h = h_prev.shape[-1]
     scale, shift = _gate_affine(h)
-    np.matmul(h_prev, w_hT, out=gates)
-    gates += zx_t
+    np.matmul(h_prev, w_hT, out=rec)
+    gates += rec
     gates *= scale
     np.tanh(gates, out=gates)
     gates *= scale
@@ -143,10 +148,9 @@ def lstm_step(zx_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 @dataclass
 class _LayerTrace:
     x: np.ndarray  # (T, B, D) layer input
-    gates: np.ndarray  # (T, B, 4H)
+    gates: np.ndarray  # (T, B, 4H) the gates, then their gradients
     hs: np.ndarray  # (T+1, B, H)
     cs: np.ndarray  # (T+1, B, H)
-    tanh_c: np.ndarray  # (T, B, H)
 
 
 @dataclass
@@ -172,30 +176,28 @@ def forward_batch(seq: np.ndarray, static: np.ndarray, model: LstmModel,
         raise DataError("non-finite model input")
     b, t, _ = seq.shape
     x = np.ascontiguousarray(seq.transpose(1, 0, 2))
-    zx = np.empty((t, b, 4 * h))
-    # Without a cache only the hidden states outlive a step, so the other
-    # buffers keep one slot (cs two) and step k uses slot k % len(buffer).
-    slots = t if want_cache else 1
+    rec = np.empty((b, 4 * h))
+    tanh_c = np.empty((b, h))
+    # Without a cache only the hidden states outlive a step: one gate buffer
+    # and one hidden-state buffer serve all three layers, and cs keeps two
+    # slots, step k using slot k % 2.
+    n_cs = t + 1 if want_cache else 2
     traces: list[_LayerTrace] = []
-    hs = None
+    gates = hs = None
     for layer in model.layers:
-        np.matmul(x.reshape(t * b, -1), layer.w_x.T,
-                  out=zx.reshape(t * b, 4 * h))
-        zx += layer.b
-        w_hT = np.ascontiguousarray(layer.w_h.T)
-        if want_cache or hs is None:
+        if want_cache or gates is None:
+            gates = np.empty((t, b, 4 * h))
             hs = np.zeros((t + 1, b, h))
-        cs = np.zeros((slots + 1, b, h))
-        gates = np.empty((slots, b, 4 * h))
-        tanh_c = np.empty((slots, b, h))
+        np.matmul(x.reshape(t * b, -1), layer.w_x.T,
+                  out=gates.reshape(t * b, 4 * h))
+        gates += layer.b
+        w_hT = np.ascontiguousarray(layer.w_h.T)
+        cs = np.zeros((n_cs, b, h))
         for step in range(t):
-            k = step % slots
-            lstm_step(zx[step], hs[step], cs[step % (slots + 1)], w_hT,
-                      gates[k], cs[(step + 1) % (slots + 1)], tanh_c[k],
-                      hs[step + 1])
+            lstm_step(gates[step], hs[step], cs[step % n_cs], w_hT, rec,
+                      cs[(step + 1) % n_cs], tanh_c, hs[step + 1])
         if want_cache:
-            traces.append(_LayerTrace(x=x, gates=gates, hs=hs, cs=cs,
-                                      tanh_c=tanh_c))
+            traces.append(_LayerTrace(x=x, gates=gates, hs=hs, cs=cs))
         x = hs[1:]
     h_top = hs[t]
     z_head = h_top @ model.head_w[:h] + static @ model.head_w[h:] + model.head_b[0]
@@ -216,9 +218,15 @@ def backward_batch(model: LstmModel, cache: ForwardCache, labels: np.ndarray
                    ) -> dict[str, np.ndarray]:
     """Exact gradients of the mean BCE over the batch, keyed like named_params.
 
+    Consumes ``cache``: each step's gate gradients overwrite its cached
+    gates, and each layer's trace leaves ``cache.traces`` as its gradients
+    are taken. A consumed cache raises TrainingError.
+
     The analytic head gradient uses dz = p - y, which matches the clamped
     loss everywhere except in the saturated clamp region (|z| above ~16).
     """
+    if len(cache.traces) != N_LAYERS:
+        raise TrainingError("forward cache already consumed by backward_batch")
     h = model.hidden_size
     y = np.asarray(labels, dtype=np.float64)
     b = y.shape[0]
@@ -230,43 +238,44 @@ def backward_batch(model: LstmModel, cache: ForwardCache, labels: np.ndarray
     grads["head.w"] = head_in.T @ dz
     grads["head.b"] = np.array([dz.sum()])
 
-    t = cache.traces[0].tanh_c.shape[0]
-    dz_all = np.empty((t, b, 4 * h))
-    dz_flat = dz_all.reshape(t * b, 4 * h)
+    t = cache.traces[0].gates.shape[0]
     deriv = np.empty((b, 4 * h))
     # Gradient flowing into each layer's output sequence; the top layer only
     # receives signal at the final step, through the head.
     d_out = None
     for layer_idx in range(N_LAYERS - 1, -1, -1):
         layer = model.layers[layer_idx]
-        trace = cache.traces[layer_idx]
+        trace = cache.traces.pop()
         dh_carry = (np.outer(dz, model.head_w[:h]) if d_out is None
                     else np.zeros((b, h)))
         dc_carry = np.zeros((b, h))
         for step in range(t - 1, -1, -1):
             dh = dh_carry if d_out is None else d_out[step] + dh_carry
-            gates = trace.gates[step]
-            i_g, f_g, g_g, o_g = gates.reshape(b, 4, h).transpose(1, 0, 2)
-            tanh_c = trace.tanh_c[step]
+            row = trace.gates[step]
+            i_g, f_g, g_g, o_g = row.reshape(b, 4, h).transpose(1, 0, 2)
+            tanh_c = np.tanh(trace.cs[step + 1])
             dc = dc_carry + dh * o_g * (1.0 - tanh_c * tanh_c)
-            row = dz_all[step]
-            np.multiply(dc, g_g, out=row[:, :h])
-            np.multiply(dc, trace.cs[step], out=row[:, h : 2 * h])
-            np.multiply(dc, i_g, out=row[:, 2 * h : 3 * h])
-            np.multiply(dh, tanh_c, out=row[:, 3 * h :])
+            dc_carry = dc * f_g
             # s(1 - s) on the sigmoid gates, 1 - g^2 on the cell gate.
-            np.subtract(1.0, gates, out=deriv)
-            deriv *= gates
+            np.subtract(1.0, row, out=deriv)
+            deriv *= row
             np.subtract(1.0, g_g * g_g, out=deriv[:, 2 * h : 3 * h])
+            # Every gate is read; overwrite the row with the gate gradients.
+            dc_i = dc * i_g
+            np.multiply(dc, g_g, out=i_g)
+            np.multiply(dc, trace.cs[step], out=f_g)
+            g_g[...] = dc_i
+            np.multiply(dh, tanh_c, out=o_g)
             row *= deriv
             dh_carry = row @ layer.w_h
-            dc_carry = dc * f_g
+        dz_flat = trace.gates.reshape(t * b, 4 * h)
         name = f"layer{layer_idx + 1}"
         grads[f"{name}.w_x"] = dz_flat.T @ trace.x.reshape(t * b, -1)
         grads[f"{name}.w_h"] = dz_flat.T @ trace.hs[:-1].reshape(t * b, h)
         grads[f"{name}.b"] = dz_flat.sum(axis=0)
         if layer_idx > 0:
             d_out = (dz_flat @ layer.w_x).reshape(t, b, -1)
+        del trace, dz_flat  # free the layer before the next one's steps
     return grads
 
 

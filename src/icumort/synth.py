@@ -607,8 +607,8 @@ def inject_anomalies(data_dir: str | Path, config: SynthConfig) -> dict:
     """The injections ``generate`` recorded in ``data_dir``'s manifest.
 
     Reads no event table and writes nothing; a manifest of another config
-    is a ConfigError. Kept only as the step ``bench/traced.py`` times after
-    ``generate``: ROADMAP item 1 (one span timer) deletes it with that caller.
+    is a ConfigError. Kept because ``bench/traced.py`` times it after
+    ``generate``, and every call the benchmark makes is public API.
     """
     manifest = read_manifest(data_dir)
     if manifest["config"] != asdict(config):

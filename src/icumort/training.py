@@ -78,9 +78,10 @@ def train(
     monitored value are retained and returned after ``patience``
     non-improving epochs or at the epoch cap.
 
-    Exactly one batch's forward cache (see ``nn``) is alive at a time: a
-    batch's cache and gradients are freed once its Adam step returns, before
-    the next batch's forward pass and before the validation pass.
+    Exactly one batch's BPTT cache is alive at a time. ``backward_batch``
+    turns it into the batch's gate gradients in place, and the cache and
+    gradients are freed once the Adam step returns, before the next batch's
+    forward pass and before the validation pass.
     """
     config.validate()
     seq_tr, static_tr, y_tr = (np.asarray(a, dtype=np.float64) for a in train_data)

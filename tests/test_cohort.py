@@ -79,6 +79,12 @@ class TestComputeAge:
         dob = datetime(2101, 1, 1) - timedelta(days=300.1 * 365.2425)
         assert compute_age(dob, datetime(2101, 1, 1)) == 91.4
 
+    def test_exactly_89_years_is_not_clamped(self):
+        # 89 years of 365.2425 days is a whole number of seconds.
+        dob = T0 - timedelta(seconds=89 * 31_556_952)
+        assert compute_age(dob, T0) == 89.0
+        assert compute_age(dob - timedelta(seconds=1), T0) == 91.4
+
     def test_dob_equal_to_intime_is_zero(self):
         assert compute_age(T0, T0) == 0.0
 
@@ -168,6 +174,13 @@ class TestSplit:
         assert counts.count("train") == 3
         assert counts.count("val") == 1
         assert counts.count("test") == 1
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_sizes_round_down(self, n):
+        counts = sorted(split_dataset(range(n), seed=1).values())
+        assert counts.count("val") == 1
+        assert counts.count("test") == 1
+        assert counts.count("train") == n - 2
 
     def test_too_few_subjects(self):
         with pytest.raises(ConfigError):

@@ -268,6 +268,28 @@ class TestStandardize:
             assert np.all(t.seq == 0.0)
             assert np.all(np.isfinite(t.seq))
 
+    def test_sd_below_floor_divides_by_floor(self):
+        # A train spread of 2e-7 gives sd 1e-7, under the 1e-6 floor.
+        stays = [make_stay(101), make_stay(102), make_stay(103)]
+        values = [4.0, 4.0 + 2e-7, 4.0 + 4e-7]
+        splits = ["train", "train", "val"]
+        raw, _ = featurize_values(stays, values, splits, standardize=False)
+        tensors, stats = featurize_values(stays, values, splits)
+        assert np.all((stats.sds > 0.0) & (stats.sds < 1e-6))
+        np.testing.assert_allclose(
+            tensors[2].seq, (raw[2].seq - stats.means) / 1e-6, rtol=1e-12)
+
+    def test_sd_above_floor_divides_by_sd(self):
+        # A train spread of 2e-4 gives sd 1e-4, between 1e-6 and 1e-3.
+        stays = [make_stay(101), make_stay(102), make_stay(103)]
+        values = [4.0, 4.0 + 2e-4, 4.0 + 4e-4]
+        splits = ["train", "train", "val"]
+        raw, _ = featurize_values(stays, values, splits, standardize=False)
+        tensors, stats = featurize_values(stays, values, splits)
+        assert np.all((stats.sds > 1e-6) & (stats.sds < 1e-3))
+        np.testing.assert_allclose(
+            tensors[2].seq, (raw[2].seq - stats.means) / stats.sds, rtol=1e-12)
+
     def test_non_finite_value_is_a_data_error(self):
         stays = [make_stay(101), make_stay(102)]
         with pytest.raises(DataError, match="non-finite feature for stay 102"):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from icumort.errors import DataError, DimensionError
+from icumort.errors import DataError, DimensionError, TrainingError
 from icumort.nn import (
     MAGIC,
     LstmLayerParams,
@@ -58,10 +59,10 @@ def forward(seq, static, model):
 def run_step(x, h_prev, c_prev, params):
     """One production step on a layer input row; returns (h_t, c_t)."""
     b, h = h_prev.shape
-    gates = np.empty((b, 4 * h))
+    rec = np.empty((b, 4 * h))
     c_t, tanh_c, h_t = np.empty((b, h)), np.empty((b, h)), np.empty((b, h))
     lstm_step(x @ params.w_x.T + params.b, h_prev, c_prev,
-              np.ascontiguousarray(params.w_h.T), gates, c_t, tanh_c, h_t)
+              np.ascontiguousarray(params.w_h.T), rec, c_t, tanh_c, h_t)
     return h_t, c_t
 
 
@@ -325,6 +326,41 @@ class TestBackward:
             np.concatenate([labels, labels]),
         )
         assert np.max(np.abs(g1 - g2)) < 1e-12
+
+    def test_consumed_cache_is_rejected(self):
+        rng = np.random.default_rng(4)
+        model = make_model(hidden_size=4, seed=3)
+        seq, static = rng.normal(size=(2, 5, 13)), rng.normal(size=(2, 7))
+        labels = np.array([1.0, 0.0])
+        _, cache = forward_batch(seq, static, model, want_cache=True)
+        backward_batch(model, cache, labels)
+        assert cache.traces == []
+        with pytest.raises(TrainingError, match="already consumed"):
+            backward_batch(model, cache, labels)
+
+    def test_bptt_peak_allocation_is_the_cache(self):
+        # The documented cache, 3 x 8 x B x (4TH + 2(T+1)H) bytes (13.59 MiB
+        # here), is the pass's working set; 2 MiB covers the first layer's
+        # input, one layer's output gradient and the per-step temporaries.
+        b, t, h = 32, 48, 64
+        model = make_model(hidden_size=h, seed=3)
+        rng = np.random.default_rng(6)
+        seq, static = rng.normal(size=(b, t, 13)), rng.normal(size=(b, 7))
+        labels = (rng.random(b) < 0.5).astype(float)
+
+        def forward_and_backward():
+            _, cache = forward_batch(seq, static, model, want_cache=True)
+            backward_batch(model, cache, labels)
+
+        forward_and_backward()  # warm up lazy imports and cached constants
+        tracemalloc.start()
+        try:
+            forward_and_backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cache_bytes = 3 * 8 * b * (4 * t * h + 2 * (t + 1) * h)
+        assert peak <= cache_bytes + 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestInit:
