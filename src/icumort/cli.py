@@ -7,9 +7,10 @@ independently reproducible and ``run-all`` equals the composition of the
 individual stages. Errors exit nonzero with one ``error: ...`` line on
 stderr.
 
-Option defaults live in one place each: the synth and train options, with
-their defaults, are the fields of ``config.SynthConfig`` and
-``config.TrainConfig``; the rest are in ``_DEFAULTS`` below. An option's
+Each command is stated once, in ``_COMMANDS`` below: the function it runs,
+its help line and its options with their defaults. The synth and train
+options, with their defaults, are the fields of ``config.SynthConfig`` and
+``config.TrainConfig``; ``_COMMANDS`` takes them from there. An option's
 type follows from its default (a bool is a switch; no default is a path,
 or an integer for ``seed`` and ``synth_patients``). ``--config FILE`` reads
 ``key=value`` lines (dashes or underscores in keys, ``#`` comment lines,
@@ -33,7 +34,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .config import SynthConfig, TrainConfig
 from .errors import ConfigError, DataError, PipelineError
@@ -138,14 +139,12 @@ def stage_cohort(args: dict) -> None:
     _require(args, "data", "work", "seed")
     started = time.monotonic()
     data_dir, work_dir = _check_dirs(args)
-    tables, table_counts = {}, {}
-    for name, schema in (("icustays", ICUSTAYS), ("patients", PATIENTS),
-                         ("admissions", ADMISSIONS),
-                         ("diagnoses_icd", DIAGNOSES_ICD),
-                         ("services", SERVICES)):
-        tables[name], stats = load_table(table_path(data_dir, name), schema)
-        table_counts[f"{name}_rows_read"] = stats.rows_read
-        table_counts[f"{name}_rows_dropped"] = stats.rows_dropped
+    tables, table_counts = [], {}
+    for schema in (ICUSTAYS, PATIENTS, ADMISSIONS, DIAGNOSES_ICD, SERVICES):
+        rows, stats = load_table(table_path(data_dir, schema.name), schema)
+        tables.append(rows)
+        table_counts[f"{schema.name}_rows_read"] = stats.rows_read
+        table_counts[f"{schema.name}_rows_dropped"] = stats.rows_dropped
     flag_ranges = (cohort.load_icd9_flags(args["icd9_flags"])
                    if args.get("icd9_flags") else None)
     surgical = (frozenset(s.strip().upper()
@@ -153,10 +152,7 @@ def stage_cohort(args: dict) -> None:
                 if args.get("surgical_services")
                 else cohort.DEFAULT_SURGICAL_SERVICES)
     included, counts = cohort.build_cohort(
-        tables["icustays"], tables["patients"], tables["admissions"],
-        tables["diagnoses_icd"], tables["services"],
-        flag_ranges=flag_ranges, surgical_services=surgical,
-    )
+        *tables, flag_ranges=flag_ranges, surgical_services=surgical)
     counts.update(table_counts)
     split = cohort.split_dataset(
         [s.subject_id for s in included], derive_seed(args["seed"], "split")
@@ -355,27 +351,21 @@ def stage_evaluate(args: dict) -> None:
 
     reports: list[tuple[str, str, EvalReport]] = []
     artifacts = ["metrics_report.csv", "model_comparison.csv"]
-    test_scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for split in cohort.SPLITS:
         seq, static, labels = _split_arrays(tensors, split_by_stay, split)
-        lstm_scores = nn.predict(model, seq, static)
-        lr_scores = baseline.predict_lr(
-            lr_model, baseline.last_hour_features(seq, static))
-        reports.append((MODEL_LSTM, split,
-                        metrics.evaluate_scores(lstm_scores, labels, threshold)))
-        reports.append((MODEL_LR, split,
-                        metrics.evaluate_scores(lr_scores, labels, threshold)))
-        if split == "test":
-            test_scores[MODEL_LSTM] = (lstm_scores, labels)
-            test_scores[MODEL_LR] = (lr_scores, labels)
+        for name, roc_file, scores in (
+                (MODEL_LSTM, "roc_lstm_test.csv", nn.predict(model, seq, static)),
+                (MODEL_LR, "roc_logreg_test.csv", baseline.predict_lr(
+                    lr_model, baseline.last_hour_features(seq, static)))):
+            reports.append((name, split,
+                            metrics.evaluate_scores(scores, labels, threshold)))
+            if split == "test":
+                with _writing(work_dir):
+                    metrics.write_roc_csv(work_dir / roc_file, scores, labels)
+                artifacts.append(roc_file)
 
     with _writing(work_dir):
         metrics.write_report_csv(work_dir / "metrics_report.csv", reports)
-        for name, fname in ((MODEL_LSTM, "roc_lstm_test.csv"),
-                            (MODEL_LR, "roc_logreg_test.csv")):
-            scores, labels = test_scores[name]
-            metrics.write_roc_csv(work_dir / fname, scores, labels)
-            artifacts.append(fname)
         table_text = render_comparison(
             [(m, r) for m, s, r in reports if s == "test"],
             work_dir / "model_comparison.csv",
@@ -387,7 +377,7 @@ def stage_evaluate(args: dict) -> None:
     warnings = [
         f"{split} split holds one class; its AUC is nan"
         + ("; the test ROC files hold only a header" if split == "test" else "")
-        for m, split, r in reports if m == MODEL_LSTM and not r.roc_points
+        for m, split, r in reports if m == MODEL_LSTM and math.isnan(r.auc)
     ]
     _write_stage_log(work_dir, "evaluate", args.get("seed"), counts,
                      artifacts, started, warnings)
@@ -425,10 +415,8 @@ def run_all(args: dict) -> None:
     else:
         raise ConfigError("run-all needs either --synth-patients or --data")
     stage_args = {**args, "data": str(data_dir), "work": str(out_dir)}
-    stage_cohort(stage_args)
-    stage_featurize(stage_args)
-    stage_train(stage_args)
-    stage_evaluate(stage_args)
+    for name in _PIPELINE[1:]:
+        _COMMANDS[name].run(stage_args)
 
 
 # Option names that differ from their config field names.
@@ -455,51 +443,64 @@ def _config_from_args(config_cls, args: dict, **derived):
                          for f in _config_fields(config_cls)}, **derived)
 
 
+class _Command(NamedTuple):
+    """A command: the function it runs, its help line, and its options with
+    their defaults (None where an option has none)."""
+
+    run: Callable[[dict], None]
+    help: str
+    options: dict
+
+
 _COMMON_DEFAULTS = {
     "seed": None,
     "config": None,
 }
+# The stages in run order; run-all takes the union of their options.
+_PIPELINE = ("synth", "cohort", "featurize", "train", "evaluate")
 
-_DEFAULTS: dict[str, dict] = {
-    "synth": {
+_COMMANDS: dict[str, _Command] = {
+    "synth": _Command(stage_synth, "generate synthetic EHR-shaped tables", {
         **_COMMON_DEFAULTS,
         "out": None,
         **_config_defaults(SynthConfig),
-    },
-    "describe": {"data": None, "out": None, "config": None},
-    "cohort": {
+    }),
+    "describe": _Command(stage_describe, "summarize a data directory",
+                         {"data": None, "out": None, "config": None}),
+    "cohort": _Command(stage_cohort, "select the cohort and assign splits", {
         **_COMMON_DEFAULTS,
         "data": None,
         "work": None,
         "icd9_flags": None,
         "surgical_services": None,
-    },
-    "featurize": {
-        **_COMMON_DEFAULTS,
-        "data": None,
-        "work": None,
-        "registry": None,
-        "literal_means": False,
-        "literal_urine_pick": False,
-        "no_standardize": False,
-    },
-    "train": {
-        **_COMMON_DEFAULTS,
-        "work": None,
-        **_config_defaults(TrainConfig),
-        "l2_lambda": 1.0,
-    },
-    "evaluate": {
+    }),
+    "featurize": _Command(
+        stage_featurize, "build 48x13 tensors and static features", {
+            **_COMMON_DEFAULTS,
+            "data": None,
+            "work": None,
+            "registry": None,
+            "literal_means": False,
+            "literal_urine_pick": False,
+            "no_standardize": False,
+        }),
+    "train": _Command(
+        stage_train, "train the LSTM and the logistic baseline", {
+            **_COMMON_DEFAULTS,
+            "work": None,
+            **_config_defaults(TrainConfig),
+            "l2_lambda": 1.0,
+        }),
+    "evaluate": _Command(stage_evaluate, "score checkpoints and write reports", {
         **_COMMON_DEFAULTS,
         "work": None,
         "threshold": 0.5,
-    },
+    }),
 }
-_DEFAULTS["run-all"] = {
-    key: value
-    for cmd in ("synth", "cohort", "featurize", "train", "evaluate")
-    for key, value in _DEFAULTS[cmd].items()
-}
+_COMMANDS["run-all"] = _Command(run_all, "run every stage in sequence", {
+    key: value for name in _PIPELINE
+    for key, value in _COMMANDS[name].options.items()
+})
 
 
 def _parse_flag(text: str) -> bool:
@@ -515,17 +516,6 @@ def _converter(key: str, default):
     if default is None:
         return int if key in _INT_OPTIONS else str
     return type(default)
-
-
-_STAGES = {
-    "synth": stage_synth,
-    "describe": stage_describe,
-    "cohort": stage_cohort,
-    "featurize": stage_featurize,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-    "run-all": run_all,
-}
 
 
 def _add_arguments(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -571,31 +561,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="ICU in-hospital mortality pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "synth": "generate synthetic EHR-shaped tables",
-        "describe": "summarize a data directory",
-        "cohort": "select the cohort and assign splits",
-        "featurize": "build 48x13 tensors and static features",
-        "train": "train the LSTM and the logistic baseline",
-        "evaluate": "score checkpoints and write reports",
-        "run-all": "run every stage in sequence",
-    }
-    for command, defaults in _DEFAULTS.items():
-        sp = sub.add_parser(command, help=helps[command])
-        _add_arguments(sp, defaults)
+    for name, command in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), command.options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         namespace = build_parser().parse_args(argv)
-        command = namespace.command
+        command = _COMMANDS[namespace.command]
         cli_args = {k: v for k, v in vars(namespace).items() if k != "command"}
-        args = dict(_DEFAULTS[command])
+        args = dict(command.options)
         if cli_args.get("config"):
-            args.update(_parse_config_file(cli_args["config"], _DEFAULTS[command]))
+            args.update(_parse_config_file(cli_args["config"], command.options))
         args.update(cli_args)
-        _STAGES[command](args)
+        command.run(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of standard output has gone. Send what is still buffered

@@ -65,6 +65,8 @@ class TrainConfig:
             raise ConfigError("max_epochs must be at least 1")
         if self.patience < 0:
             raise ConfigError("patience must be nonnegative")
+        if self.hidden_size < 1:
+            raise ConfigError("hidden_size must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and positive, "
                               f"got {self.learning_rate}")

@@ -31,7 +31,6 @@ class EvalReport:
     recall: float
     f1: float
     auc: float
-    roc_points: list[tuple[float, float]]
 
 
 def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -103,16 +102,10 @@ def roc_curve_with_thresholds(
     ]
 
 
-def roc_curve(scores: Sequence[float], labels: Sequence[int]
-              ) -> list[tuple[float, float]]:
-    """ROC points (fpr, tpr) including (0,0) and (1,1)."""
-    return [(x, y) for x, y, _ in roc_curve_with_thresholds(scores, labels)]
-
-
-def auc(roc_points: Sequence[tuple[float, float]]) -> float:
-    """Trapezoidal area under an ROC point list."""
+def auc(roc_points: Sequence[tuple[float, ...]]) -> float:
+    """Trapezoidal area under ROC points (fpr, tpr, ...), left to right."""
     area = 0.0
-    for (x0, y0), (x1, y1) in zip(roc_points, roc_points[1:]):
+    for (x0, y0, *_), (x1, y1, *_) in zip(roc_points, roc_points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
 
@@ -138,21 +131,21 @@ def evaluate_scores(scores: Sequence[float], labels: Sequence[int],
                     threshold: float = 0.5) -> EvalReport:
     """Full evaluation of one model on one split.
 
-    A split holding one class has no ROC: its report carries ``auc`` nan
-    and no ROC points, while the confusion counts and P/R/F1 still hold.
+    The AUC is the trapezoid under ``roc_curve_with_thresholds``. A split
+    holding one class has no ROC: its ``auc`` is nan, while the confusion
+    counts and P/R/F1 still hold.
     """
     scores_arr, labels_arr = _check_pair(scores, labels)
     tp, fp, tn, fn = confusion(scores_arr, labels_arr, threshold)
     precision, recall, f1 = prf1(tp, fp, tn, fn)
-    points = roc_curve(scores_arr, labels_arr) if _both_classes(labels_arr) else []
     return EvalReport(
         n=int(labels_arr.size),
         positives=int(labels_arr.sum()),
         threshold=threshold,
         tp=tp, fp=fp, tn=tn, fn=fn,
         precision=precision, recall=recall, f1=f1,
-        auc=auc(points) if points else float("nan"),
-        roc_points=points,
+        auc=(auc(roc_curve_with_thresholds(scores_arr, labels_arr))
+             if _both_classes(labels_arr) else float("nan")),
     )
 
 
@@ -171,8 +164,8 @@ def write_roc_csv(path: str | Path, scores: Sequence[float],
 
 def write_report_csv(path: str | Path,
                      reports: Sequence[tuple[str, str, EvalReport]]) -> None:
-    """One row per (model, split) with the scalar report fields in order."""
-    names = [f.name for f in fields(EvalReport) if f.name != "roc_points"]
+    """One row per (model, split) with the report fields in order."""
+    names = [f.name for f in fields(EvalReport)]
     write_artifact_rows(path, ["model", "split", *names], (
         [model, split, *(getattr(r, name) for name in names)]
         for model, split, r in reports

@@ -1,9 +1,10 @@
 """Streaming CSV ingestion for MIMIC-shaped tables, and the artifact format.
 
 Tables arrive as plain or gzipped CSV files with a header row. Column names
-are matched case-insensitively and extra columns are ignored. Each table's
-``TableSchema`` lists its columns once, in record-field order, with the
-parse of a non-empty value and whether the column is required. Event tables
+are matched case-insensitively. Each table's ``TableSchema`` lists the
+columns that a stage reads, once, in record-field order, with the parse of
+a non-empty value and whether the column is required. Every other column is
+ignored, so an unparseable value there never drops a row. Event tables
 are never loaded whole: ``parse_table`` yields records in file order while
 counting rows read, kept, and dropped.
 
@@ -43,7 +44,6 @@ TS_FORMAT = "%Y-%m-%d %H:%M:%S"
 class RawEvent:
     """One timestamped measurement row from an event table."""
 
-    subject_id: int
     hadm_id: Optional[int]
     icustay_id: Optional[int]
     item_id: int
@@ -82,7 +82,6 @@ class AdmissionRow:
     subject_id: int
     hadm_id: int
     admittime: datetime
-    dischtime: Optional[datetime]
     deathtime: Optional[datetime]
     admission_type: str
     hospital_expire_flag: Optional[int]
@@ -90,14 +89,12 @@ class AdmissionRow:
 
 @dataclass(slots=True)
 class DiagnosisRow:
-    subject_id: int
     hadm_id: int
     icd9_code: str
 
 
 @dataclass(slots=True)
 class ServiceRow:
-    subject_id: int
     hadm_id: int
     transfertime: datetime
     curr_service: str
@@ -173,7 +170,6 @@ def finite_float(text: str) -> Optional[float]:
 
 
 _EVENT_COLUMNS = (
-    ("subject_id", _parse_int, True),
     ("hadm_id", _parse_int, False),
     ("icustay_id", _parse_int, False),
     ("itemid", _parse_int, True),
@@ -201,18 +197,15 @@ ADMISSIONS = TableSchema("admissions", AdmissionRow, (
     ("subject_id", _parse_int, True),
     ("hadm_id", _parse_int, True),
     ("admittime", parse_timestamp, True),
-    ("dischtime", parse_timestamp, False),
     ("deathtime", parse_timestamp, False),
     ("admission_type", str.upper, True),
     ("hospital_expire_flag", _parse_int, False),
 ))
 DIAGNOSES_ICD = TableSchema("diagnoses_icd", DiagnosisRow, (
-    ("subject_id", _parse_int, True),
     ("hadm_id", _parse_int, True),
     ("icd9_code", str.upper, True),
 ))
 SERVICES = TableSchema("services", ServiceRow, (
-    ("subject_id", _parse_int, True),
     ("hadm_id", _parse_int, True),
     ("transfertime", parse_timestamp, True),
     ("curr_service", str.upper, True),

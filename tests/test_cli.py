@@ -55,6 +55,31 @@ def test_cohort_log_counts_rows_of_every_dimension_table(tmp_path):
         assert counts[f"{name}_rows_dropped"] == 0
 
 
+def test_unparseable_dischtime_keeps_its_admission(tmp_path):
+    # The benchmark's reproduce data at seed 101; its cohort includes
+    # admission 500001. No stage reads DISCHTIME.
+    data, clean, work = tmp_path / "data", tmp_path / "clean", tmp_path / "work"
+    assert main(["synth", "--out", str(data), "--seed", "101",
+                 "--synth-patients", "250", "--signal", "temporal_trend",
+                 "--effect-size", "2.0", "--mortality-rate", "0.3"]) == 0
+    cohort_argv = ["cohort", "--data", str(data), "--seed", "101", "--work"]
+    assert main([*cohort_argv, str(clean)]) == 0
+    path = data / "ADMISSIONS.csv"
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    (row,) = [r for r in rows if r[header.index("HADM_ID")] == "500001"]
+    row[header.index("DISCHTIME")] = "2101-13-45 99:00:00"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+    assert main([*cohort_argv, str(work)]) == 0
+    assert _log(work, "cohort")["counts"]["admissions_rows_dropped"] == 0
+    assert ((work / "cohort.csv").read_bytes()
+            == (clean / "cohort.csv").read_bytes())
+    with open(work / "cohort.csv", newline="") as fh:
+        assert "500001" in {r["hadm_id"] for r in csv.DictReader(fh)}
+
+
 def test_evaluate_survives_a_one_class_test_split(tmp_path, capsys):
     # At this seed and size the 4-stay test split holds no death, while the
     # train and val splits hold both classes.
@@ -212,7 +237,7 @@ def test_recorded_configs_hold_only_options_and_the_seed(reference_run):
     for command, keys in recorded.items():
         options = {cli._OPTION_NAMES.get(key, key) for key in keys}
         assert "seed" in options
-        assert options <= set(cli._DEFAULTS[command]), command
+        assert options <= set(cli._COMMANDS[command].options), command
 
 
 def test_config_file_values_match_flags_and_flags_win(reference_run, tmp_path):
@@ -550,7 +575,8 @@ def test_each_command_keeps_its_flags_types_and_defaults(command,
                                                    argparse._StoreTrueAction)
                               else action.type)
     seen = {}
-    monkeypatch.setitem(cli._STAGES, command, seen.update)
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        cli._COMMANDS[command]._replace(run=seen.update))
     assert main([command]) == 0
     assert {k: (kinds[k], seen[k]) for k in kinds} == _OPTIONS[command]
     assert set(seen) == set(kinds)
@@ -700,11 +726,13 @@ def test_synth_log_counts_the_data_rows_of_every_table(tmp_path, rates):
     (["train", "--learning-rate", "nan"], "learning_rate must be finite and"),
     (["train", "--learning-rate", "inf"], "learning_rate must be finite and"),
     (["train", "--patience", "-1"], "patience must be nonnegative"),
+    (["train", "--hidden", "0"], "hidden_size must be at least 1"),
     (["train", "--l2-lambda", "nan"], "l2_lambda must be finite and"),
     (["train", "--l2-lambda", "inf"], "l2_lambda must be finite and"),
     (["evaluate", "--threshold", "nan"], "threshold must be in [0, 1]"),
 ], ids=["effect-nan", "age-min-nan", "age-max-inf", "lr-negative", "lr-nan",
-        "lr-inf", "patience-negative", "l2-nan", "l2-inf", "threshold-nan"])
+        "lr-inf", "patience-negative", "hidden-zero", "l2-nan", "l2-inf",
+        "threshold-nan"])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     where = (["--out", str(out), "--synth-patients", "20", "--signal",

@@ -44,7 +44,6 @@ def admission(subject, hadm, admission_type="EMERGENCY", deathtime=None,
         subject_id=subject,
         hadm_id=hadm,
         admittime=T0 - timedelta(hours=4),
-        dischtime=T0 + timedelta(days=10),
         deathtime=deathtime,
         admission_type=admission_type,
         hospital_expire_flag=flag,
@@ -133,6 +132,17 @@ class TestComorbidity:
 
     def test_hematologic_and_metastatic(self, ranges):
         assert comorbidity_flags({"1983", "2049"}, ranges) == (False, True, True)
+
+    @pytest.mark.parametrize("code, expected", [
+        ("042", (True, False, False)), ("0449", (True, False, False)),
+        ("200", (False, True, False)), ("20899", (False, True, False)),
+        ("196", (False, False, True)), ("1991", (False, False, True)),
+        ("0419", (False,) * 3), ("04491", (False,) * 3),
+        ("1959", (False,) * 3), ("1992", (False,) * 3),
+        ("20900", (False,) * 3),
+    ])
+    def test_both_bounds_are_inclusive(self, ranges, code, expected):
+        assert comorbidity_flags({code}, ranges) == expected
 
     def test_dotless_parsing(self):
         assert icd9_numeric("1983") == 198.3

@@ -10,11 +10,15 @@ from icumort.metrics import (
     confusion,
     evaluate_scores,
     prf1,
-    roc_curve,
     roc_curve_with_thresholds,
     write_report_csv,
     write_roc_csv,
 )
+
+
+def fpr_tpr(scores, labels):
+    """The (fpr, tpr) points of the ROC sweep, without the thresholds."""
+    return [p[:2] for p in roc_curve_with_thresholds(scores, labels)]
 
 
 class TestConfusion:
@@ -56,10 +60,10 @@ class TestPrf1:
 
 class TestRocCurve:
     def test_perfectly_separated_pair(self):
-        assert roc_curve([0.9, 0.2], [1, 0]) == [(0, 0), (0, 1), (1, 1)]
+        assert fpr_tpr([0.9, 0.2], [1, 0]) == [(0, 0), (0, 1), (1, 1)]
 
     def test_all_scores_identical(self):
-        assert roc_curve([0.5, 0.5, 0.5], [1, 0, 1]) == [(0, 0), (1, 1)]
+        assert fpr_tpr([0.5, 0.5, 0.5], [1, 0, 1]) == [(0, 0), (1, 1)]
 
     def test_hand_enumerated_sweep(self):
         scores = [0.9, 0.8, 0.8, 0.6, 0.4, 0.4]
@@ -71,7 +75,7 @@ class TestRocCurve:
             (1 / 3, 1.0),      # t=0.6
             (1.0, 1.0),        # t=0.4
         ]
-        assert roc_curve(scores, labels) == expected
+        assert fpr_tpr(scores, labels) == expected
         assert auc(expected) == pytest.approx(5 / 6, abs=1e-12)
 
     def test_thresholds_annotated_and_endpoints_blank(self):
@@ -89,7 +93,7 @@ class TestRocCurve:
         labels = rng.integers(0, 2, size=50)
         if len(set(labels.tolist())) < 2:
             labels[0] = 1 - labels[0]
-        points = roc_curve(scores, labels)
+        points = fpr_tpr(scores, labels)
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         assert xs == sorted(xs)
@@ -98,12 +102,12 @@ class TestRocCurve:
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            roc_curve([0.1, 0.2], [1, 1])
+            fpr_tpr([0.1, 0.2], [1, 1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(DataError, match="scores must be finite"):
-            roc_curve([0.1, bad, 0.3], [1, 0, 1])
+            fpr_tpr([0.1, bad, 0.3], [1, 0, 1])
         with pytest.raises(DataError, match="scores must be finite"):
             evaluate_scores([0.1, bad, 0.3], [1, 0, 1])
 
@@ -136,10 +140,11 @@ class TestRocCurve:
 
 class TestAuc:
     def test_perfect_ranking(self):
-        assert auc(roc_curve([0.9, 0.8, 0.1], [1, 1, 0])) == 1.0
+        assert auc(roc_curve_with_thresholds([0.9, 0.8, 0.1], [1, 1, 0])) == 1.0
 
     def test_constant_scores_are_chance(self):
-        assert auc(roc_curve([0.4] * 6, [1, 0, 1, 0, 1, 0])) == 0.5
+        assert auc(roc_curve_with_thresholds([0.4] * 6,
+                                             [1, 0, 1, 0, 1, 0])) == 0.5
         assert auc_oracle([0.4] * 6, [1, 0, 1, 0, 1, 0]) == 0.5
 
     def test_trapezoid_agrees_with_concordance_oracle(self):
@@ -152,7 +157,7 @@ class TestAuc:
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            assert abs(auc(roc_curve(scores, labels))
+            assert abs(auc(roc_curve_with_thresholds(scores, labels))
                        - auc_oracle(scores, labels)) < 1e-12
 
     def test_invariant_under_monotone_transform(self):
@@ -182,8 +187,7 @@ class TestReportExport:
         assert report.positives == 2
         assert (report.tp, report.fp, report.tn, report.fn) == (1, 1, 1, 1)
         assert report.tp + report.fp + report.tn + report.fn == report.n
-        assert report.roc_points[0] == (0.0, 0.0)
-        assert report.roc_points[-1] == (1.0, 1.0)
+        assert report.auc == 0.75
 
     def test_roc_csv_format(self, tmp_path):
         path = tmp_path / "roc.csv"
@@ -206,7 +210,6 @@ class TestReportExport:
     def test_one_class_split_reports_nan_auc_and_counts(self):
         report = evaluate_scores([0.9, 0.6, 0.4, 0.1], [0, 0, 0, 0], 0.5)
         assert math.isnan(report.auc)
-        assert report.roc_points == []
         assert (report.n, report.positives) == (4, 0)
         assert (report.tp, report.fp, report.tn, report.fn) == (0, 2, 2, 0)
         assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)

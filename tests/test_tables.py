@@ -43,7 +43,7 @@ def test_single_valid_row(parse_text):
     text = "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n1,211,2101-01-01 10:00:00,80\n"
     records, stats = parse_text(text)
     assert len(records) == 1
-    assert records[0].subject_id == 1
+    assert records[0].charttime == datetime(2101, 1, 1, 10)
     assert records[0].item_id == 211
     assert records[0].value_num == 80.0
     assert stats.rows_dropped == 0
@@ -88,7 +88,7 @@ def test_stats_invariant_on_mixed_file(parse_text):
     text = (
         "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
         "1,211,2101-01-01 10:00:00,80\n"
-        "x,211,2101-01-01 10:00:00,80\n"
+        "1,x,2101-01-01 10:00:00,80\n"
         "2,211,bad,80\n"
         "3,211,2101-01-01 10:00:00,81\n"
     )
@@ -126,10 +126,10 @@ _TS = [datetime(2101, 1, d, d, d, d) for d in range(1, 4)]
 # record fields those values must land in. Positional construction would
 # swap two same-typed columns listed out of field order; this catches it.
 _DISTINCT_ROWS = [
-    *((schema, {"subject_id": "1", "hadm_id": "2", "icustay_id": "3",
+    *((schema, {"hadm_id": "2", "icustay_id": "3",
                 "itemid": "4", "charttime": str(_TS[0]), "valuenum": "5.5",
                 "value": "six", "valueuom": "seven"},
-       {"subject_id": 1, "hadm_id": 2, "icustay_id": 3, "item_id": 4,
+       {"hadm_id": 2, "icustay_id": 3, "item_id": 4,
         "charttime": _TS[0], "value_num": 5.5, "value_text": "six"})
       for schema in EVENT_SCHEMAS.values()),
     (ICUSTAYS, {"subject_id": "1", "hadm_id": "2", "icustay_id": "3",
@@ -139,16 +139,16 @@ _DISTINCT_ROWS = [
     (PATIENTS, {"subject_id": "1", "dob": str(_TS[0])},
      {"subject_id": 1, "dob": _TS[0]}),
     (ADMISSIONS, {"subject_id": "1", "hadm_id": "2", "admittime": str(_TS[0]),
-                  "dischtime": str(_TS[1]), "deathtime": str(_TS[2]),
+                  "deathtime": str(_TS[2]),
                   "admission_type": "urgent", "hospital_expire_flag": "3"},
-     {"subject_id": 1, "hadm_id": 2, "admittime": _TS[0], "dischtime": _TS[1],
+     {"subject_id": 1, "hadm_id": 2, "admittime": _TS[0],
       "deathtime": _TS[2], "admission_type": "URGENT",
       "hospital_expire_flag": 3}),
-    (DIAGNOSES_ICD, {"subject_id": "1", "hadm_id": "2", "icd9_code": "v30"},
-     {"subject_id": 1, "hadm_id": 2, "icd9_code": "V30"}),
-    (SERVICES, {"subject_id": "1", "hadm_id": "2", "transfertime": str(_TS[0]),
+    (DIAGNOSES_ICD, {"hadm_id": "2", "icd9_code": "v30"},
+     {"hadm_id": 2, "icd9_code": "V30"}),
+    (SERVICES, {"hadm_id": "2", "transfertime": str(_TS[0]),
                 "curr_service": "med"},
-     {"subject_id": 1, "hadm_id": 2, "transfertime": _TS[0],
+     {"hadm_id": 2, "transfertime": _TS[0],
       "curr_service": "MED"}),
 ]
 
@@ -170,14 +170,14 @@ def test_every_column_lands_in_its_own_field(parse_text, schema, row,
 
 
 # Besides the non-finite ids: a digit-group "_" and non-ASCII digits, which
-# int() and float() accept, and a sign, an exponent or no whole part, which
-# float() accepts.
+# int() and float() accept, and a sign, an exponent, no whole part or a
+# fraction that is not zero, which float() accepts.
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "nan", "2_0",
                                    "\u0663", "1_0.0", "\u0661\u0662.0",
-                                   "-5", "+5", "1e3", ".0"])
+                                   "-5", "+5", "1e3", ".0", "1.5", "1.05"])
 @pytest.mark.parametrize("schema, text", [
     (CHARTEVENTS, "SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n"
-                  "{},211,2101-01-01 10:00:00,80\n1,211,2101-01-01 11:00:00,81\n"),
+                  "1,{},2101-01-01 10:00:00,80\n1,211,2101-01-01 11:00:00,81\n"),
     (ICUSTAYS, "SUBJECT_ID,HADM_ID,ICUSTAY_ID,INTIME,OUTTIME\n"
                "1,{},100,2101-01-01 00:00:00,2101-01-04 00:00:00\n"
                "2,20,200,2101-01-01 00:00:00,2101-01-04 00:00:00\n"),
@@ -189,10 +189,30 @@ def test_non_finite_id_is_a_malformed_row(parse_text, schema, text, value):
 
 
 def test_integral_float_id_is_accepted(parse_text):
-    text = ("SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n7.0,211.0,2101-01-01,80\n"
-            "7.,211.00,2101-01-01,80\n")
+    text = ("SUBJECT_ID,ITEMID,CHARTTIME,VALUENUM\n1,7.0,2101-01-01,80\n"
+            "1,7.,2101-01-01,80\n1,211.0,2101-01-01,80\n"
+            "1,211.00,2101-01-01,80\n")
     records, _ = parse_text(text)
-    assert [(r.subject_id, r.item_id) for r in records] == [(7, 211)] * 2
+    assert [r.item_id for r in records] == [7, 7, 211, 211]
+
+
+# A column no stage reads is not parsed, so no value there drops the row.
+@pytest.mark.parametrize("schema, text", [
+    (ADMISSIONS, "SUBJECT_ID,HADM_ID,ADMITTIME,DISCHTIME,ADMISSION_TYPE\n"
+                 "1,10,2101-01-01 00:00:00,{},EMERGENCY\n"),
+    *((schema, "SUBJECT_ID,HADM_ID,ITEMID,CHARTTIME,VALUENUM\n"
+               "{},10,211,2101-01-01 10:00:00,80\n")
+      for schema in EVENT_SCHEMAS.values()),
+    (DIAGNOSES_ICD, "SUBJECT_ID,HADM_ID,ICD9_CODE\n{},10,042\n"),
+    (SERVICES, "SUBJECT_ID,HADM_ID,TRANSFERTIME,CURR_SERVICE\n"
+               "{},10,2101-01-01 00:00:00,MED\n"),
+], ids=["admissions-dischtime", *EVENT_SCHEMAS, "diagnoses_icd", "services"])
+@pytest.mark.parametrize("value", ["2101-13-45 99:00:00", "x", "-5", "inf"])
+def test_garbage_in_an_unread_column_keeps_the_row(parse_text, schema, text,
+                                                    value):
+    records, stats = parse_text(text.format(value), schema)
+    assert (stats.rows_read, stats.rows_kept, stats.rows_dropped) == (1, 1, 0)
+    assert records[0].hadm_id == 10
 
 
 def test_non_finite_valuenum_falls_back_to_the_text_value(parse_text):

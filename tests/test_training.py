@@ -50,6 +50,13 @@ class TestEarlyStopper:
             stops.append(stopper.should_stop)
         assert stops == [False, False, True]
 
+    def test_a_tie_is_not_an_improvement(self):
+        stopper = EarlyStopper(patience=1)
+        assert stopper.update(0.5, 1) is True
+        assert stopper.update(0.5, 2) is False
+        assert (stopper.best, stopper.best_epoch) == (0.5, 1)
+        assert stopper.should_stop
+
     def test_max_mode(self):
         # An AUC is monitored as its negation, so a higher AUC improves.
         stopper = EarlyStopper(patience=2)
