@@ -3,10 +3,10 @@
 Three LSTM layers run over the 48 hourly rows of D features from zero
 initial state; the final top-layer hidden state is concatenated with the S
 static features and fed through a dense sigmoid head. Training takes D and S
-from its data, and a checkpoint stores them. Everything is float64 and the
-backward pass returns exact analytic gradients of the mean binary
-cross-entropy, which the test suite checks against central finite
-differences.
+from its data, a checkpoint stores them, and ``seeding.Pcg64`` (numpy's
+default stream) draws the initial weights. Everything is float64; backward
+returns exact gradients of the mean binary cross-entropy, checked in the
+tests against central finite differences.
 
 Gate packing order inside the 4H dimension is [input, forget, cell, output].
 One ``tanh`` over the 4H columns makes all four gates of a step, with
@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError, TrainingError
+from .seeding import Pcg64
 from .tables import read_artifact
 
 N_LAYERS = 3
@@ -69,10 +70,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def init_weights(hidden_size: int, n_features: int, n_static: int,
                  seed: int) -> LstmModel:
-    """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; zero biases except forget = 1."""
+    """Uniform(-1/sqrt(H), 1/sqrt(H)) ``Pcg64`` draws; biases 0 but forget 1."""
     if hidden_size < 1:
         raise DimensionError("hidden size must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     bound = 1.0 / np.sqrt(hidden_size)
     h = hidden_size
     layers = []
@@ -330,6 +331,8 @@ def load_checkpoint(path: str | Path) -> LstmModel:
               for _ in range(N_LAYERS)]
     model = LstmModel(layers=layers, head_w=read_mat().reshape(-1),
                       head_b=read_mat().reshape(-1), hidden_size=h)
+    if buf.tell() != len(blob):
+        raise DataError(f"{path}: trailing bytes after the last tensor")
     widths = [layers[0].w_x.shape[1]] + [h] * (N_LAYERS - 1)
     expected = [((4 * h, d), (4 * h, h), (4 * h,)) for d in widths]
     found = [(l.w_x.shape, l.w_h.shape, l.b.shape) for l in layers]

@@ -60,7 +60,7 @@ from .featurize import attribute_event
 from .items import N_CHANNELS, Item, load_registry
 from .seeding import SplitMix64, derive_seed, derive_seed_many, leading_uniforms
 from .tables import (
-    ADMISSIONS,
+    ADMISSION_TIMES,
     ICUSTAYS,
     PATIENTS,
     TS_FORMAT,
@@ -663,7 +663,7 @@ def describe(data_dir: str | Path) -> DescribeSummary:
     """
     data_dir = Path(data_dir)
     patients, _ = load_table(table_path(data_dir, "patients"), PATIENTS)
-    admissions, _ = load_table(table_path(data_dir, "admissions"), ADMISSIONS)
+    admissions, _ = load_table(table_path(data_dir, "admissions"), ADMISSION_TIMES)
     stays, _ = load_table(table_path(data_dir, "icustays"), ICUSTAYS)
     summary = DescribeSummary(
         patients=len(patients), admissions=len(admissions), icu_stays=len(stays)

@@ -79,12 +79,17 @@ class PatientRow:
 
 @dataclass(slots=True)
 class AdmissionRow:
-    subject_id: int
     hadm_id: int
-    admittime: datetime
     deathtime: Optional[datetime]
     admission_type: str
     hospital_expire_flag: Optional[int]
+
+
+@dataclass(slots=True)
+class AdmissionTimes:
+    subject_id: int
+    admittime: datetime
+    deathtime: Optional[datetime]
 
 
 @dataclass(slots=True)
@@ -194,12 +199,16 @@ PATIENTS = TableSchema("patients", PatientRow, (
     ("dob", parse_timestamp, True),
 ))
 ADMISSIONS = TableSchema("admissions", AdmissionRow, (
-    ("subject_id", _parse_int, True),
     ("hadm_id", _parse_int, True),
-    ("admittime", parse_timestamp, True),
     ("deathtime", parse_timestamp, False),
     ("admission_type", str.upper, True),
     ("hospital_expire_flag", _parse_int, False),
+))
+# Only ``synth.describe`` reads who was admitted when.
+ADMISSION_TIMES = TableSchema("admissions", AdmissionTimes, (
+    ("subject_id", _parse_int, True),
+    ("admittime", parse_timestamp, True),
+    ("deathtime", parse_timestamp, False),
 ))
 DIAGNOSES_ICD = TableSchema("diagnoses_icd", DiagnosisRow, (
     ("hadm_id", _parse_int, True),

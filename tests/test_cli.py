@@ -57,7 +57,7 @@ def test_cohort_log_counts_rows_of_every_dimension_table(tmp_path):
 
 def test_unparseable_dischtime_keeps_its_admission(tmp_path):
     # The benchmark's reproduce data at seed 101; its cohort includes
-    # admission 500001. No stage reads DISCHTIME.
+    # admission 500001. No stage reads DISCHTIME, ADMITTIME or SUBJECT_ID.
     data, clean, work = tmp_path / "data", tmp_path / "clean", tmp_path / "work"
     assert main(["synth", "--out", str(data), "--seed", "101",
                  "--synth-patients", "250", "--signal", "temporal_trend",
@@ -68,7 +68,9 @@ def test_unparseable_dischtime_keeps_its_admission(tmp_path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     (row,) = [r for r in rows if r[header.index("HADM_ID")] == "500001"]
-    row[header.index("DISCHTIME")] = "2101-13-45 99:00:00"
+    for column in ("DISCHTIME", "ADMITTIME"):
+        row[header.index(column)] = "2101-13-45 99:00:00"
+    row[header.index("SUBJECT_ID")] = "x"
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
@@ -1056,11 +1058,11 @@ _STAGE_MODULES = {"icumort.synth", "icumort.cohort", "icumort.featurize",
     ("--help", {"numpy", *_STAGE_MODULES}),
     ("synth", _MODEL_MODULES),
     ("describe", _MODEL_MODULES),
-    ("cohort", {"numpy", "icumort.synth", "icumort.featurize",
+    ("cohort", {"numpy", "numpy.random", "icumort.synth", "icumort.featurize",
                 *_MODEL_MODULES}),
-    ("featurize", {"icumort.synth", *_MODEL_MODULES}),
-    ("train", {"icumort.synth"}),
-    ("evaluate", {"icumort.synth", "icumort.training"}),
+    ("featurize", {"numpy.random", "icumort.synth", *_MODEL_MODULES}),
+    ("train", {"numpy.random", "icumort.synth"}),
+    ("evaluate", {"numpy.random", "icumort.synth", "icumort.training"}),
 ])
 def test_each_command_imports_only_what_it_runs(reference_dir, tmp_path,
                                                 command, absent):

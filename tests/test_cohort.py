@@ -38,12 +38,10 @@ def stay(subject, stay_id, intime, los_hours, hadm=None):
     )
 
 
-def admission(subject, hadm, admission_type="EMERGENCY", deathtime=None,
+def admission(hadm, admission_type="EMERGENCY", deathtime=None,
               flag=None):
     return AdmissionRow(
-        subject_id=subject,
         hadm_id=hadm,
-        admittime=T0 - timedelta(hours=4),
         deathtime=deathtime,
         admission_type=admission_type,
         hospital_expire_flag=flag,
@@ -105,17 +103,17 @@ class TestInclusion:
 
 class TestLabel:
     def test_deathtime_present(self):
-        adm = admission(1, 10, deathtime=T0 + timedelta(days=3), flag=1)
+        adm = admission(10, deathtime=T0 + timedelta(days=3), flag=1)
         assert label_mortality(adm) is True
 
     def test_deathtime_absent(self):
-        assert label_mortality(admission(1, 10, flag=0)) is False
+        assert label_mortality(admission(10, flag=0)) is False
 
     def test_deathtime_wins_over_flag(self):
-        adm = admission(1, 10, deathtime=T0 + timedelta(days=3), flag=0)
+        adm = admission(10, deathtime=T0 + timedelta(days=3), flag=0)
         assert label_mortality(adm) is True
         assert label_disagrees(adm) is True
-        assert label_disagrees(admission(1, 10, flag=0)) is False
+        assert label_disagrees(admission(10, flag=0)) is False
 
 
 @pytest.fixture(scope="module")
@@ -227,9 +225,9 @@ def test_build_cohort_end_to_end_counts():
         PatientRow(3, T0 - timedelta(days=10 * 365)),
     ]
     admissions = [
-        admission(1, 10, deathtime=T0 + timedelta(days=5), flag=0),
-        admission(2, 20),
-        admission(3, 30),
+        admission(10, deathtime=T0 + timedelta(days=5), flag=0),
+        admission(20),
+        admission(30),
     ]
     cohort, counts = build_cohort(stays, patients, admissions, [], [])
     assert [s.icustay_id for s in cohort] == [101]

@@ -387,6 +387,18 @@ class TestInit:
             assert np.all(layer.b[2 * h :] == 0.0)
         assert model.head_b[0] == 0.0
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("h", [8, 64])
+    def test_weights_are_numpy_default_rng_draws(self, h, seed):
+        # The weights are the draws of np.random.default_rng(seed), in
+        # named_params order, without loading numpy.random.
+        rng = np.random.default_rng(seed)
+        bound = 1.0 / np.sqrt(h)
+        for name, arr in named_params(make_model(hidden_size=h, seed=seed)):
+            if name.endswith(("w_x", "w_h", "head.w")):
+                expected = rng.uniform(-bound, bound, size=arr.shape)
+                assert arr.tobytes() == expected.tobytes(), name
+
     def test_three_layers_with_documented_widths(self):
         model = make_model(hidden_size=8, seed=0)
         assert len(model.layers) == 3
@@ -442,6 +454,14 @@ class TestPredictAndCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(DataError, match=f"cut{cut}.bin"):
                 load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(make_model(hidden_size=64, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"trailing garbage")
+        with pytest.raises(DataError, match="model.bin: trailing bytes after "
+                                            "the last tensor"):
+            load_checkpoint(path)
 
     def test_inconsistent_shapes_rejected(self, tmp_path):
         model = make_model(hidden_size=2, seed=0)

@@ -138,11 +138,9 @@ _DISTINCT_ROWS = [
       "outtime": _TS[1]}),
     (PATIENTS, {"subject_id": "1", "dob": str(_TS[0])},
      {"subject_id": 1, "dob": _TS[0]}),
-    (ADMISSIONS, {"subject_id": "1", "hadm_id": "2", "admittime": str(_TS[0]),
-                  "deathtime": str(_TS[2]),
+    (ADMISSIONS, {"hadm_id": "2", "deathtime": str(_TS[2]),
                   "admission_type": "urgent", "hospital_expire_flag": "3"},
-     {"subject_id": 1, "hadm_id": 2, "admittime": _TS[0],
-      "deathtime": _TS[2], "admission_type": "URGENT",
+     {"hadm_id": 2, "deathtime": _TS[2], "admission_type": "URGENT",
       "hospital_expire_flag": 3}),
     (DIAGNOSES_ICD, {"hadm_id": "2", "icd9_code": "v30"},
      {"hadm_id": 2, "icd9_code": "V30"}),
@@ -200,13 +198,18 @@ def test_integral_float_id_is_accepted(parse_text):
 @pytest.mark.parametrize("schema, text", [
     (ADMISSIONS, "SUBJECT_ID,HADM_ID,ADMITTIME,DISCHTIME,ADMISSION_TYPE\n"
                  "1,10,2101-01-01 00:00:00,{},EMERGENCY\n"),
+    (ADMISSIONS, "SUBJECT_ID,HADM_ID,ADMITTIME,ADMISSION_TYPE\n"
+                 "1,10,{},EMERGENCY\n"),
+    (ADMISSIONS, "SUBJECT_ID,HADM_ID,ADMITTIME,ADMISSION_TYPE\n"
+                 "{},10,2101-01-01 00:00:00,EMERGENCY\n"),
     *((schema, "SUBJECT_ID,HADM_ID,ITEMID,CHARTTIME,VALUENUM\n"
                "{},10,211,2101-01-01 10:00:00,80\n")
       for schema in EVENT_SCHEMAS.values()),
     (DIAGNOSES_ICD, "SUBJECT_ID,HADM_ID,ICD9_CODE\n{},10,042\n"),
     (SERVICES, "SUBJECT_ID,HADM_ID,TRANSFERTIME,CURR_SERVICE\n"
                "{},10,2101-01-01 00:00:00,MED\n"),
-], ids=["admissions-dischtime", *EVENT_SCHEMAS, "diagnoses_icd", "services"])
+], ids=["admissions-dischtime", "admissions-admittime", "admissions-subject_id",
+        *EVENT_SCHEMAS, "diagnoses_icd", "services"])
 @pytest.mark.parametrize("value", ["2101-13-45 99:00:00", "x", "-5", "inf"])
 def test_garbage_in_an_unread_column_keeps_the_row(parse_text, schema, text,
                                                     value):

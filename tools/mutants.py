@@ -114,12 +114,25 @@ MUTANTS = [
     _one("tables.dropped_rows_counted", "tables.py",
          "stats.rows_dropped += 1", "stats.rows_kept += 1"),
     Mutant("tables.unread_column_ignored", "tables.py", (
-        ("    admittime: datetime\n",
-         "    admittime: datetime\n    dischtime: Optional[datetime]\n"),
-        ('    ("admittime", parse_timestamp, True),\n',
-         '    ("admittime", parse_timestamp, True),\n'
+        ("class AdmissionRow:\n    hadm_id: int\n",
+         "class AdmissionRow:\n    hadm_id: int\n"
+         "    dischtime: Optional[datetime]\n"),
+        ('AdmissionRow, (\n    ("hadm_id", _parse_int, True),\n',
+         'AdmissionRow, (\n    ("hadm_id", _parse_int, True),\n'
          '    ("dischtime", parse_timestamp, False),\n'),
     )),
+    Mutant("tables.cohort_reads_no_admittime", "tables.py", (
+        ("class AdmissionRow:\n    hadm_id: int\n",
+         "class AdmissionRow:\n    hadm_id: int\n    admittime: datetime\n"),
+        ('AdmissionRow, (\n    ("hadm_id", _parse_int, True),\n',
+         'AdmissionRow, (\n    ("hadm_id", _parse_int, True),\n'
+         '    ("admittime", parse_timestamp, True),\n'),
+    )),
+    # seeding: numpy's PCG64 stream
+    _one("seeding.xslrr_rotation_mask", "seeding.py",
+         "x << (-rot & np.uint64(63))", "x << -rot"),
+    _one("seeding.mulhi_carry", "seeding.py",
+         " + (p10 >> s32) + (mid >> s32)", " + (p10 >> s32)"),
 ]
 
 
