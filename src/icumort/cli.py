@@ -407,7 +407,7 @@ def render_comparison(model_reports: list[tuple[str, EvalReport]],
 def run_all(args: dict) -> None:
     _require(args, "out", "seed")
     out_dir = Path(args["out"])
-    if args.get("synth_patients"):
+    if args.get("synth_patients") is not None:
         data_dir = out_dir / "data"
         stage_synth({**args, "out": str(data_dir)})
     elif args.get("data"):

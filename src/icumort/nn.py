@@ -3,10 +3,11 @@
 Three LSTM layers run over the 48 hourly rows of D features from zero
 initial state; the final top-layer hidden state is concatenated with the S
 static features and fed through a dense sigmoid head. Training takes D and S
-from its data, a checkpoint stores them, and ``seeding.Pcg64`` (numpy's
-default stream) draws the initial weights. Everything is float64; backward
-returns exact gradients of the mean binary cross-entropy, checked in the
-tests against central finite differences.
+from its data and a checkpoint stores them. Each initial weight tensor is
+drawn from its own splitmix64 stream, keyed by its checkpoint name, so its
+values depend only on the seed, the name and its size. Everything is
+float64; backward returns exact gradients of the mean binary cross-entropy,
+checked in the tests against central finite differences.
 
 Gate packing order inside the 4H dimension is [input, forget, cell, output].
 One ``tanh`` over the 4H columns makes all four gates of a step, with
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError, TrainingError
-from .seeding import Pcg64
+from .seeding import derive_seed, leading_uniforms
 from .tables import read_artifact
 
 N_LAYERS = 3
@@ -70,23 +71,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def init_weights(hidden_size: int, n_features: int, n_static: int,
                  seed: int) -> LstmModel:
-    """Uniform(-1/sqrt(H), 1/sqrt(H)) ``Pcg64`` draws; biases 0 but forget 1."""
+    """Biases 0 but forget 1. Each weight tensor is Uniform(-1/sqrt(H),
+    1/sqrt(H)), mapped from the leading ``SplitMix64(derive_seed(seed,
+    name)).uniform()`` draws for its ``named_params`` name, in C order."""
     if hidden_size < 1:
         raise DimensionError("hidden size must be at least 1")
-    rng = Pcg64(seed)
-    bound = 1.0 / np.sqrt(hidden_size)
     h = hidden_size
     layers = []
     for layer_idx in range(N_LAYERS):
         d = n_features if layer_idx == 0 else h
-        w_x = rng.uniform(-bound, bound, size=(4 * h, d))
-        w_h = rng.uniform(-bound, bound, size=(4 * h, h))
         b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0  # forget gate bias keeps early memory open
-        layers.append(LstmLayerParams(w_x=w_x, w_h=w_h, b=b))
-    head_w = rng.uniform(-bound, bound, size=h + n_static)
-    return LstmModel(layers=layers, head_w=head_w, head_b=np.zeros(1),
-                     hidden_size=h)
+        layers.append(LstmLayerParams(w_x=np.empty((4 * h, d)),
+                                      w_h=np.empty((4 * h, h)), b=b))
+    model = LstmModel(layers=layers, head_w=np.empty(h + n_static),
+                      head_b=np.zeros(1), hidden_size=h)
+    bound = 1.0 / np.sqrt(h)
+    for name, arr in named_params(model):
+        if not name.endswith(".b"):
+            unit = leading_uniforms(derive_seed(seed, name), arr.size)
+            arr[...] = (unit * (2 * bound) - bound).reshape(arr.shape)
+    return model
 
 
 def named_params(model: LstmModel) -> list[tuple[str, np.ndarray]]:

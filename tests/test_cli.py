@@ -339,27 +339,27 @@ _RUN_SHA256 = {
     "logs/cohort_log.json":
         "a72fff5e9590c7fb67ef9b134ef259517fb9c26ccc45977684397fbd30d7471a",
     "logs/evaluate_log.json":
-        "3e7950e942cc5d8a234a04fec3c3f29915725de1db8031c1dfbf07028e2511bf",
+        "cd73e5a4d70b4903b7892ba8a2c97968e5ac6c4b172d871d75c222ca64490c3b",
     "logs/featurize_log.json":
         "0e7879b6f0d9caaa1db826dd6313341f6b8dc4953581f00c4390798dd890feb6",
     "logs/train_log.json":
-        "f5c914085edf5e0ef65c446c9c1bbb930664d96450462564911f7b93962f4cb1",
+        "7239fcc9b87a3ce6e6a9a8ea2ce96d8df755ac6b5d5f3d4290887aacfadf0d6c",
     "lstm_checkpoint.bin":
-        "ff6a5b6cd144bb3df65407fab1f45352f211fde1d8146aee48a67ab2b01601b0",
+        "eeb13f1ca1b6de779ff1dce60cdbd4535827cff9a623a3713a09f99807b80d72",
     "lstm_checkpoint.manifest.txt":
         "814a3679780d503e208950fc9634db1f9359558ece9324dc3fc92653163a90bf",
     "metrics_report.csv":
-        "1b8f3d292f61c7467bb0aebc1d4d8ba69fbba741ff5eb29af192532d96125df4",
+        "12e18172057ca786c1b5c0592d0e52bc6571a3a4963eacc6e692cd710ed8016e",
     "model_comparison.csv":
-        "66f7615fa53363ff2713b347d7c55216ee66382e6cf58c98bedebc51aeb25d3e",
+        "ee78f3a31a0426c422953a1e2c2a994c3f7f2c1ecc401fd2d583c3f276f7d80a",
     "population_stats.json":
         "1de0faa1f3990492b7152d706f2067a7a7704c2cd97cc865891612e52db84faf",
     "roc_logreg_test.csv":
         "644df96290f58a0d7642a047674032a80a2990e972909d1ed9a14fd6851a4ad2",
     "roc_lstm_test.csv":
-        "1b7f40f6f1061064e8c55d9c8065bd0ed99ffd8b03ff931d717c2b4063030374",
+        "898fadde3326846bc84182433e838b63499b020185d3380fd4b54d10bc7943d6",
     "training_history.csv":
-        "d2ad4be460f178475af279ab35d1d7259ff0b9cb5bf7f9534101c9e58c98b310",
+        "894f3332da5b68cccc84c1366df9e375067c83721df1bf7e906e15704e6d0c39",
 }
 
 
@@ -374,25 +374,25 @@ _LITERAL_RUN_SHA256 = {
     "logreg_checkpoint.txt":
         "4baeb6b73f6a27c2e1b91ab231c291f90958003391ca3dc69263ba2ad41c50c4",
     "logs/evaluate_log.json":
-        "8fe22865cfa0356c37fdd30041917d5f90a527ef693a1d13c05b552d0900899c",
+        "1b4b8d901e49e1e7602b537497482c1f642128183068fe28a39524ece778605d",
     "logs/train_log.json":
-        "6b0c3d7509aef6c5ace4a4f2e6485c9e228d97fce03de2764cd6ff14afaaa959",
+        "a23d1fce0b97ddbdbfe3e8e451d2f917acd413258edbab51120ca4768fe5fd83",
     "lstm_checkpoint.bin":
-        "6adf01609504f8f895e904fee201d91f551df830af311ad730c42fe6d5a5e178",
+        "acc8de659af804d0073b7f370cd89252a26f2dea4c908740118ee18149ac8da6",
     "lstm_checkpoint.manifest.txt":
         "2c8c1dfd4a0580998cb04a3338b55a154f8d2db2cc0a5360d45675c20d38d452",
     "metrics_report.csv":
-        "9488f541b095b1f4f7958c61b26f13b87a5a20d26af07d43193bb24465d1098b",
+        "a21301954f8c9b2c4d022599e3c577ab0e689fb26bdb5abd4be8302966743f5d",
     "model_comparison.csv":
-        "da701220c585158d0f06c95a02f49c4ad43ce18766a13cb1951a569e07fc0ea3",
+        "944e6056ffe7e99451020b4e485c7d1c04ff2ea7fadb275521bacfd6c3490c91",
     "population_stats.json":
         "c0cbf1c8e691ef7dba0b4ccd3bafd82308e301e5f80e3b693fa902d577dff37f",
     "roc_logreg_test.csv":
         "360437e7aaad3e969633912fb80c7d29f563071bbfae08f8ebbe19db99d807ee",
     "roc_lstm_test.csv":
-        "f6e2778c816fe320598377877b52d102dc696c76342b2fe25788fc1f98b752ce",
+        "7559d175323e9eac5684cf3ad1d3a3debcf9d1f0eb3fc76e8b1adb41a71a3cb8",
     "training_history.csv":
-        "c97cbcc94606aac733f30422ed4b19cc4d266e403a771bad84ee4c97cc261d6d",
+        "cfaf211c513f755882fc1fcd1aab6e5d8394a1ef49d396e7dd70c25460270209",
 }
 _NO_STANDARDIZE_RUN_SHA256 = {
     **_RUN_SHA256,
@@ -403,25 +403,25 @@ _NO_STANDARDIZE_RUN_SHA256 = {
     "logreg_checkpoint.txt":
         "64d2b460ff22b4c5456e7fd52e290a8ac5eda2e72f022b54bcc2b5ed85d9349b",
     "logs/evaluate_log.json":
-        "8525d9380b9b89c2dd329c3775ff3abc7f8e90c97633bc28d1566b03c59ab14a",
+        "f15547c660b604faba85de4efc35d43aeda838c5fe0dd5fd8b3ebe9748a7cb3a",
     "logs/train_log.json":
-        "6e5c08bb1ce32fbcd5c5b0ae47c3df29b53a4efb76d2b3286c51548306f5d4ca",
+        "032cf1fc8ae8a91113a866e762625923ba258cd0b032dd7ac6de12d0a914de59",
     "lstm_checkpoint.bin":
-        "1682577d7d4605b12052d061de9c8ddb6c8a7e496b7b0827a6c69ef3a812bffa",
+        "cdd26e36b4cd1e6ba0cecfcaafdd9ece64a18db68281386054aa4adb690988e8",
     "lstm_checkpoint.manifest.txt":
         "d8ac1895104e2d3718a9a785e62f0c3c5d6c5645fded2eefdf44d26df0e618ca",
     "metrics_report.csv":
-        "bda849d3c4e8fdeb91af67e03cb1c1d704a6691fd7926d7da863c6b0f61528ef",
+        "063fe36c9ef605b4307240b91ec9650de2eae62b44cfc169588eed2aa062026d",
     "model_comparison.csv":
-        "c66759e55ffc2935821524b3ad7382ab2318e18bb261fe77cd67fcc121fe1103",
+        "2e04b78adea32b2c46b8c496f1036c3b2bc3f39073d450ac8b6afe4aaa7190aa",
     "population_stats.json":
         "d69136c2cc92f512e456fd670ec9e07a95a9ed9f77c8239d1444db4d28534690",
     "roc_logreg_test.csv":
         "9b5ef4431895bea073ec492e6d6b39da0d373a477dc541ac6c6bcd424b69cd49",
     "roc_lstm_test.csv":
-        "878a2c6bb11bb65ef1e7ce94d1a4ae4280b6cf54063bfc18057023320b2a6c9d",
+        "d2770ff5a5256713269e7bae88060c9e5348cf15953ccb6fa96598a64468793b",
     "training_history.csv":
-        "134e05101860c159ce43f89d6f8c482b308e66fd0294dd688dddae02644a388d",
+        "c3fb141cd6680657c056086d13f921025eb0b92e2fa4d329775acfd3cc07685f",
 }
 
 
@@ -743,6 +743,20 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("with_data", [False, True], ids=["alone", "with-data"])
+def test_run_all_synth_patients_zero_is_the_synth_error(reference_dir, tmp_path,
+                                                        capsys, with_data):
+    # 0 patients is given, not missing: run-all synthesizes and fails as
+    # synth does, rather than asking for --data or running on the --data.
+    out = tmp_path / "out"
+    data = ["--data", str(reference_dir / "data")] if with_data else []
+    assert main(["run-all", "--out", str(out), "--seed", "1",
+                 "--synth-patients", "0", *data]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: n_patients must be at least 5"]
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from icumort.nn import (
     predict,
     save_checkpoint,
 )
+from icumort.seeding import SplitMix64, derive_seed
 
 
 def make_model(hidden_size, seed):
@@ -388,16 +389,27 @@ class TestInit:
         assert model.head_b[0] == 0.0
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    @pytest.mark.parametrize("h", [8, 64])
-    def test_weights_are_numpy_default_rng_draws(self, h, seed):
-        # The weights are the draws of np.random.default_rng(seed), in
-        # named_params order, without loading numpy.random.
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(h)
+    @pytest.mark.parametrize("h", [4, 8])
+    def test_weights_are_keyed_splitmix64_draws(self, h, seed):
+        # Each weight tensor, in C order, is the scalar splitmix64 stream
+        # keyed by its checkpoint name, mapped onto [-1/sqrt(H), 1/sqrt(H)).
+        bound = 1.0 / math.sqrt(h)
         for name, arr in named_params(make_model(hidden_size=h, seed=seed)):
             if name.endswith(("w_x", "w_h", "head.w")):
-                expected = rng.uniform(-bound, bound, size=arr.shape)
-                assert arr.tobytes() == expected.tobytes(), name
+                stream = SplitMix64(derive_seed(seed, name))
+                expected = [stream.uniform() * (2 * bound) - bound
+                            for _ in range(arr.size)]
+                assert arr.ravel().tolist() == expected, name
+
+    def test_each_weight_tensor_depends_only_on_its_own_size(self):
+        # Keyed draws: a wider input changes layer1.w_x and no other tensor.
+        narrow = init_weights(hidden_size=8, n_features=13, n_static=7, seed=3)
+        wide = init_weights(hidden_size=8, n_features=14, n_static=7, seed=3)
+        for (name, a), (_, b) in zip(named_params(narrow), named_params(wide)):
+            if name == "layer1.w_x":
+                assert a.shape == (32, 13) and b.shape == (32, 14)
+            else:
+                assert np.array_equal(a, b), name
 
     def test_three_layers_with_documented_widths(self):
         model = make_model(hidden_size=8, seed=0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from icumort.seeding import (
-    Pcg64,
     SplitMix64,
     derive_seed,
     derive_seed_many,
@@ -109,31 +108,3 @@ def test_leading_uniforms_match_sequential_stream():
         stream = SplitMix64(seed)
         assert row == [stream.uniform() for _ in range(4)]
 
-
-# 3**100 has five 32-bit words, one more than the SeedSequence pool holds.
-_PCG_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 3**100]
-
-
-@pytest.mark.parametrize("seed", _PCG_SEEDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 85319])
-def test_pcg64_uniform_is_numpy_default_rng(seed, n):
-    expected = np.random.default_rng(seed).uniform(-0.125, 0.125, size=n)
-    assert Pcg64(seed).uniform(-0.125, 0.125, n).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("seed", _PCG_SEEDS)
-def test_pcg64_calls_continue_the_stream(seed):
-    rng, ours = np.random.default_rng(seed), Pcg64(seed)
-    for low, high, size in [(-1.0, 2.5, (3, 4)), (0.0, 1.0, 0), (-0.5, 0.5, 7),
-                            (-3.0, -2.0, (256, 64))]:
-        got = ours.uniform(low, high, size)
-        expected = rng.uniform(low, high, size=size)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-
-
-def test_pcg64_rejects_a_negative_seed():
-    with pytest.raises(ValueError):
-        np.random.default_rng(-1)
-    with pytest.raises(ValueError):
-        Pcg64(-1)
