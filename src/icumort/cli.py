@@ -240,14 +240,14 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_heap() -> None:
     """Keep freed heap pages mapped, so training reuses them.
 
-    Training frees each batch's forward cache (14.25 MB at B 32, T 48, H 64)
-    before the next forward pass. By default glibc hands a freed heap top
-    larger than twice its largest freed mmap chunk back to the system, so
-    every batch page-faulted its cache in again: about 2,700 faults a batch
-    with the former 16.6 MB cache, and a train stage 6-19% slower than with
-    two caches alive. A 32 MB mmap threshold and a 64 MB trim threshold keep
-    those pages for the next batch. C libraries without ``mallopt`` are left
-    as they are.
+    Training frees each batch's forward cache and backward's rebuilt states
+    (11.0 MB at B 32, T 48, H 64) before the next forward pass. By default
+    glibc hands a freed heap top larger than twice its largest freed mmap
+    chunk back to the system, so every batch page-faulted its cache in
+    again: about 2,700 faults a batch with the former 16.6 MB cache, and a
+    train stage 6-19% slower than with two caches alive. A 32 MB mmap
+    threshold and a 64 MB trim threshold keep those pages for the next
+    batch. C libraries without ``mallopt`` are left as they are.
     """
     import ctypes
 
@@ -277,6 +277,7 @@ def stage_train(args: dict) -> None:
     feature_stats = _read_population_stats(work_dir)
     train_data = _split_arrays(tensors, split_by_stay, "train")
     val_data = _split_arrays(tensors, split_by_stay, "val")
+    del tensors  # stacked; the per-stay arrays would outlive training
     # Fit the baseline first, so a one-class train split fails before training.
     lr_model = baseline.train_lr(baseline.last_hour_features(*train_data[:2]),
                                  train_data[2], lam=args["l2_lambda"])
@@ -349,10 +350,13 @@ def stage_evaluate(args: dict) -> None:
     model = nn.load_checkpoint(work_dir / "lstm_checkpoint.bin")
     lr_model = baseline.load_lr(work_dir / "logreg_checkpoint.txt")
 
+    split_data = {split: _split_arrays(tensors, split_by_stay, split)
+                  for split in cohort.SPLITS}
+    del tensors  # stacked; the per-stay arrays would outlive scoring
+
     reports: list[tuple[str, str, EvalReport]] = []
     artifacts = ["metrics_report.csv", "model_comparison.csv"]
-    for split in cohort.SPLITS:
-        seq, static, labels = _split_arrays(tensors, split_by_stay, split)
+    for split, (seq, static, labels) in split_data.items():
         for name, roc_file, scores in (
                 (MODEL_LSTM, "roc_lstm_test.csv", nn.predict(model, seq, static)),
                 (MODEL_LR, "roc_logreg_test.csv", baseline.predict_lr(
@@ -585,6 +589,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a --hidden too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -12,16 +12,19 @@ checked in the tests against central finite differences.
 Gate packing order inside the 4H dimension is [input, forget, cell, output].
 One ``tanh`` over the 4H columns makes all four gates of a step, with
 sigmoid(z) = 1/2 + 1/2 tanh(z/2) on i, f and o; the head uses the exact
-``sigmoid``. The forward cache is time-major, per layer of T steps over a
-batch of B: ``gates`` (T, B, 4H), which one matmul fills with the input
-projection x W_xᵀ + b before each step activates its row in place, and the
-hidden and cell states ``hs``, ``cs`` (T+1, B, H) with ``hs[0] = cs[0] = 0``,
-so that ``hs[:-1]`` holds each step's previous hidden state and ``hs[1:]`` the
-output. Over the three layers that is 3 × 8 × B × (4TH + 2(T+1)H) bytes,
-14.25 MB at B 32, T 48 and H 64, plus the first layer's (T, B, D) input.
-``backward_batch`` consumes the cache: each step's gate gradients overwrite
-its gates, and each layer's trace leaves the cache once its gradients are
-taken.
+``sigmoid``. The forward cache is time-major and holds only the activated
+gates: per layer of T steps over a batch of B, ``gates`` (T, B, 4H), which
+one matmul fills with the input projection x W_xᵀ + b before each step
+activates its row in place, plus the first layer's (T, B, D) input. The
+hidden and cell states are not kept: one ``hs`` buffer (T+1, B, H), with
+``hs[0] = 0`` so that ``hs[:-1]`` holds each step's previous hidden state and
+``hs[1:]`` the output, serves all three layers, and the cell state keeps two
+slots. ``backward_batch`` rebuilds a layer's ``hs`` and a (T+1, B, H) ``cs``
+from its gates through the forward's own ``_cell_update``, so the rebuilt
+states are the forward's bits. Its working set is 8 × B × (12TH + 2(T+1)H)
+bytes, 10.53 MiB at B 32, T 48 and H 64, plus the first layer's input. It
+consumes the cache: each step's gate gradients overwrite its gates, and each
+layer's gates leave the cache once its gradients are taken.
 """
 
 from __future__ import annotations
@@ -125,6 +128,19 @@ def _gate_affine(h: int) -> np.ndarray:
     return affine
 
 
+def _cell_update(gates: np.ndarray, c_prev: np.ndarray, c_t: np.ndarray,
+                tanh_c: np.ndarray, h_t: np.ndarray) -> None:
+    """The state half of a step, from the activated [i, f, g, o] ``gates``
+    (B, 4H): c_t = f·c_prev + i·g, tanh_c = tanh(c_t), h_t = o·tanh_c.
+    Forward and backward's state rebuild both call it, so their bits match."""
+    h = c_prev.shape[-1]
+    i_g, f_g, g_g, o_g = gates.reshape(-1, 4, h).transpose(1, 0, 2)
+    np.multiply(f_g, c_prev, out=c_t)
+    c_t += i_g * g_g
+    np.tanh(c_t, out=tanh_c)
+    np.multiply(o_g, tanh_c, out=h_t)
+
+
 def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
               w_hT: np.ndarray, rec: np.ndarray, c_t: np.ndarray,
               tanh_c: np.ndarray, h_t: np.ndarray) -> None:
@@ -136,32 +152,29 @@ def lstm_step(gates: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     ``c_t``, ``tanh_c`` and ``h_t`` (B, H) receive the new cell state, its
     tanh and the new hidden state.
     """
-    h = h_prev.shape[-1]
-    scale, shift = _gate_affine(h)
+    scale, shift = _gate_affine(h_prev.shape[-1])
     np.matmul(h_prev, w_hT, out=rec)
     gates += rec
     gates *= scale
     np.tanh(gates, out=gates)
     gates *= scale
     gates += shift
-    i_g, f_g, g_g, o_g = gates.reshape(-1, 4, h).transpose(1, 0, 2)
-    np.multiply(f_g, c_prev, out=c_t)
-    c_t += i_g * g_g
-    np.tanh(c_t, out=tanh_c)
-    np.multiply(o_g, tanh_c, out=h_t)
+    _cell_update(gates, c_prev, c_t, tanh_c, h_t)
 
 
-@dataclass
-class _LayerTrace:
-    x: np.ndarray  # (T, B, D) layer input
-    gates: np.ndarray  # (T, B, 4H) the gates, then their gradients
-    hs: np.ndarray  # (T+1, B, H)
-    cs: np.ndarray  # (T+1, B, H)
+def _rebuild_states(gates: np.ndarray, hs: np.ndarray, cs: np.ndarray,
+                    tanh_c: np.ndarray) -> None:
+    """A layer's hidden and cell states from its activated gates (T, B, 4H),
+    into rows 1..T of ``hs`` and ``cs`` (T+1, B, H), whose row 0 is zero."""
+    for step in range(gates.shape[0]):
+        _cell_update(gates[step], cs[step], cs[step + 1], tanh_c, hs[step + 1])
 
 
 @dataclass
 class ForwardCache:
-    traces: list[_LayerTrace]
+    x: np.ndarray  # (T, B, D) first layer's input
+    gates: list[np.ndarray]  # (T, B, 4H) per layer: gates, then gradients
+    hs: np.ndarray  # (T+1, B, H) the shared hidden-state buffer
     h_top: np.ndarray  # (B, H) final hidden state of the top layer
     static: np.ndarray  # (B, S)
     p: np.ndarray  # (B,)
@@ -181,35 +194,35 @@ def forward_batch(seq: np.ndarray, static: np.ndarray, model: LstmModel,
     if not (np.all(np.isfinite(seq)) and np.all(np.isfinite(static))):
         raise DataError("non-finite model input")
     b, t, _ = seq.shape
-    x = np.ascontiguousarray(seq.transpose(1, 0, 2))
+    x_in = x = np.ascontiguousarray(seq.transpose(1, 0, 2))
     rec = np.empty((b, 4 * h))
     tanh_c = np.empty((b, h))
-    # Without a cache only the hidden states outlive a step: one gate buffer
-    # and one hidden-state buffer serve all three layers, and cs keeps two
-    # slots, step k using slot k % 2.
-    n_cs = t + 1 if want_cache else 2
-    traces: list[_LayerTrace] = []
-    gates = hs = None
+    # Only the cache keeps gates past their layer. One hidden-state buffer
+    # serves all three layers (the matmul reads a layer's input before its
+    # steps overwrite it), and cs keeps two slots, step k using slot k % 2.
+    hs = np.zeros((t + 1, b, h))
+    cs = np.zeros((2, b, h))
+    kept: list[np.ndarray] = []
+    gates = None
     for layer in model.layers:
         if want_cache or gates is None:
             gates = np.empty((t, b, 4 * h))
-            hs = np.zeros((t + 1, b, h))
         np.matmul(x.reshape(t * b, -1), layer.w_x.T,
                   out=gates.reshape(t * b, 4 * h))
         gates += layer.b
         w_hT = np.ascontiguousarray(layer.w_h.T)
-        cs = np.zeros((n_cs, b, h))
+        cs[0] = 0.0
         for step in range(t):
-            lstm_step(gates[step], hs[step], cs[step % n_cs], w_hT, rec,
-                      cs[(step + 1) % n_cs], tanh_c, hs[step + 1])
+            lstm_step(gates[step], hs[step], cs[step % 2], w_hT, rec,
+                      cs[(step + 1) % 2], tanh_c, hs[step + 1])
         if want_cache:
-            traces.append(_LayerTrace(x=x, gates=gates, hs=hs, cs=cs))
+            kept.append(gates)
         x = hs[1:]
-    h_top = hs[t]
+    h_top = hs[t].copy()
     z_head = h_top @ model.head_w[:h] + static @ model.head_w[h:] + model.head_b[0]
     p = sigmoid(z_head)
-    cache = ForwardCache(traces=traces, h_top=h_top, static=static, p=p) \
-        if want_cache else None
+    cache = ForwardCache(x=x_in, gates=kept, hs=hs, h_top=h_top, static=static,
+                         p=p) if want_cache else None
     return p, cache
 
 
@@ -224,14 +237,21 @@ def backward_batch(model: LstmModel, cache: ForwardCache, labels: np.ndarray
                    ) -> dict[str, np.ndarray]:
     """Exact gradients of the mean BCE over the batch, keyed like named_params.
 
+    The cache holds each layer's gates (T, B, 4H). Before a layer's reverse
+    loop, its hidden and cell states are rebuilt from its gates into the
+    cache's ``hs`` and one (T+1, B, H) ``cs``: the top layer's first, each
+    lower layer's when the layer above needs them as its ``w_x`` input, and
+    then kept for that layer's own loop. With the three layers' gates that
+    is 8 × B × (12TH + 2(T+1)H) bytes, 10.53 MiB at B 32, T 48, H 64.
+
     Consumes ``cache``: each step's gate gradients overwrite its cached
-    gates, and each layer's trace leaves ``cache.traces`` as its gradients
-    are taken. A consumed cache raises TrainingError.
+    gates, and each layer's gates leave ``cache.gates`` as its gradients are
+    taken. A consumed cache raises TrainingError.
 
     The analytic head gradient uses dz = p - y, which matches the clamped
     loss everywhere except in the saturated clamp region (|z| above ~16).
     """
-    if len(cache.traces) != N_LAYERS:
+    if len(cache.gates) != N_LAYERS:
         raise TrainingError("forward cache already consumed by backward_batch")
     h = model.hidden_size
     y = np.asarray(labels, dtype=np.float64)
@@ -244,22 +264,26 @@ def backward_batch(model: LstmModel, cache: ForwardCache, labels: np.ndarray
     grads["head.w"] = head_in.T @ dz
     grads["head.b"] = np.array([dz.sum()])
 
-    t = cache.traces[0].gates.shape[0]
+    t = cache.gates[0].shape[0]
+    hs = cache.hs
+    cs = np.zeros((t + 1, b, h))
     deriv = np.empty((b, 4 * h))
+    tanh_c = np.empty((b, h))
+    _rebuild_states(cache.gates[-1], hs, cs, tanh_c)
     # Gradient flowing into each layer's output sequence; the top layer only
     # receives signal at the final step, through the head.
     d_out = None
     for layer_idx in range(N_LAYERS - 1, -1, -1):
         layer = model.layers[layer_idx]
-        trace = cache.traces.pop()
+        gates = cache.gates.pop()
         dh_carry = (np.outer(dz, model.head_w[:h]) if d_out is None
                     else np.zeros((b, h)))
         dc_carry = np.zeros((b, h))
         for step in range(t - 1, -1, -1):
             dh = dh_carry if d_out is None else d_out[step] + dh_carry
-            row = trace.gates[step]
+            row = gates[step]
             i_g, f_g, g_g, o_g = row.reshape(b, 4, h).transpose(1, 0, 2)
-            tanh_c = np.tanh(trace.cs[step + 1])
+            np.tanh(cs[step + 1], out=tanh_c)
             dc = dc_carry + dh * o_g * (1.0 - tanh_c * tanh_c)
             dc_carry = dc * f_g
             # s(1 - s) on the sigmoid gates, 1 - g^2 on the cell gate.
@@ -269,25 +293,36 @@ def backward_batch(model: LstmModel, cache: ForwardCache, labels: np.ndarray
             # Every gate is read; overwrite the row with the gate gradients.
             dc_i = dc * i_g
             np.multiply(dc, g_g, out=i_g)
-            np.multiply(dc, trace.cs[step], out=f_g)
+            np.multiply(dc, cs[step], out=f_g)
             g_g[...] = dc_i
             np.multiply(dh, tanh_c, out=o_g)
             row *= deriv
             dh_carry = row @ layer.w_h
-        dz_flat = trace.gates.reshape(t * b, 4 * h)
+        dz_flat = gates.reshape(t * b, 4 * h)
         name = f"layer{layer_idx + 1}"
-        grads[f"{name}.w_x"] = dz_flat.T @ trace.x.reshape(t * b, -1)
-        grads[f"{name}.w_h"] = dz_flat.T @ trace.hs[:-1].reshape(t * b, h)
+        grads[f"{name}.w_h"] = dz_flat.T @ hs[:-1].reshape(t * b, h)
         grads[f"{name}.b"] = dz_flat.sum(axis=0)
         if layer_idx > 0:
             d_out = (dz_flat @ layer.w_x).reshape(t, b, -1)
-        del trace, dz_flat  # free the layer before the next one's steps
+            # This layer's states are spent; the buffers take the layer
+            # below's: this layer's input, then that layer's own loop's.
+            _rebuild_states(cache.gates[-1], hs, cs, tanh_c)
+            x = hs[1:]
+        else:
+            x = cache.x
+        grads[f"{name}.w_x"] = dz_flat.T @ x.reshape(t * b, -1)
+        del gates, dz_flat  # free the layer before the next one's steps
     return grads
 
 
 def predict(model: LstmModel, seq: np.ndarray, static: np.ndarray,
-            batch_size: int = 256) -> np.ndarray:
-    """Pure forward pass over many stays; no state is mutated."""
+            batch_size: int = 64) -> np.ndarray:
+    """Pure forward pass over many stays; no state is mutated.
+
+    Batches of 64 hold about 7.9 MB of buffers at T 48, H 64, whatever the
+    split size. A batch size that is a multiple of 4 gives the whole-split
+    ``forward_batch`` scores bit for bit; 7 moves some by an ulp in the head.
+    """
     seq = np.asarray(seq, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
     out = np.empty(seq.shape[0])

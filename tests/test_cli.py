@@ -970,6 +970,20 @@ def test_train_rejects_bad_population_stats_before_training(
     assert not (work / "lstm_checkpoint.bin").exists()
 
 
+def test_unallocatable_model_is_one_error_line(reference_dir, tmp_path, capsys):
+    # 2,000,000 hidden units need 116 TiB for each recurrent weight matrix,
+    # so the allocation fails at once, before any memory is touched.
+    work = tmp_path / "run"
+    shutil.copytree(reference_dir, work)
+    (work / "lstm_checkpoint.bin").unlink()
+    capsys.readouterr()
+    assert main(["train", "--work", str(work), *_SEED,
+                 "--hidden", "2000000"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+    assert not (work / "lstm_checkpoint.bin").exists()
+
+
 def test_closed_standard_output_is_one_error_line(reference_dir):
     # The reader closes its end of the pipe before the child writes, as
     # `| head -1` does once it has its line; a reader that closes after

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icumort import nn
 from icumort.errors import DataError, DimensionError, TrainingError
 from icumort.nn import (
     MAGIC,
@@ -270,9 +271,10 @@ class TestForward:
         assert none is None
         assert np.array_equal(p_plain, p_cached)
         assert np.array_equal(cache.p, p_cached)
-        for trace in cache.traces:
-            assert np.all(trace.hs[0] == 0.0) and np.all(trace.cs[0] == 0.0)
-        assert np.array_equal(cache.h_top, cache.traces[-1].hs[-1])
+        assert len(cache.gates) == 3
+        assert np.array_equal(cache.x, seq.transpose(1, 0, 2))
+        assert np.all(cache.hs[0] == 0.0)
+        assert np.array_equal(cache.h_top, cache.hs[-1])
 
 
 class TestLoss:
@@ -335,14 +337,15 @@ class TestBackward:
         labels = np.array([1.0, 0.0])
         _, cache = forward_batch(seq, static, model, want_cache=True)
         backward_batch(model, cache, labels)
-        assert cache.traces == []
+        assert cache.gates == []
         with pytest.raises(TrainingError, match="already consumed"):
             backward_batch(model, cache, labels)
 
     def test_bptt_peak_allocation_is_the_cache(self):
-        # The documented cache, 3 x 8 x B x (4TH + 2(T+1)H) bytes (13.59 MiB
-        # here), is the pass's working set; 2 MiB covers the first layer's
-        # input, one layer's output gradient and the per-step temporaries.
+        # The documented working set, 8 x B x (12TH + 2(T+1)H) bytes (10.53
+        # MiB here: three layers' gates and one rebuilt hs and cs), is the
+        # pass's peak; 2 MiB covers the first layer's input, one layer's
+        # output gradient and the per-step temporaries.
         b, t, h = 32, 48, 64
         model = make_model(hidden_size=h, seed=3)
         rng = np.random.default_rng(6)
@@ -360,8 +363,44 @@ class TestBackward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        cache_bytes = 3 * 8 * b * (4 * t * h + 2 * (t + 1) * h)
+        cache_bytes = 8 * b * (12 * t * h + 2 * (t + 1) * h)
         assert peak <= cache_bytes + 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("batch", [1, 19, 32])
+    def test_rebuilt_states_equal_the_forward_states(self, batch, monkeypatch):
+        # Backward rebuilds each layer's hs and cs from its cached gates, top
+        # layer first; they must be the bits a loop that keeps them computes.
+        t, h = 48, 64
+        model = make_model(hidden_size=h, seed=batch)
+        rng = np.random.default_rng(batch)
+        seq, static = rng.normal(size=(batch, t, 13)), rng.normal(size=(batch, 7))
+        labels = (rng.random(batch) < 0.5).astype(float)
+        kept, x = [], np.ascontiguousarray(seq.transpose(1, 0, 2))
+        rec, tanh_c = np.empty((batch, 4 * h)), np.empty((batch, h))
+        for layer in model.layers:
+            gates = (x.reshape(t * batch, -1) @ layer.w_x.T).reshape(t, batch, -1)
+            gates += layer.b
+            hs, cs = np.zeros((t + 1, batch, h)), np.zeros((t + 1, batch, h))
+            w_hT = np.ascontiguousarray(layer.w_h.T)
+            for step in range(t):
+                lstm_step(gates[step], hs[step], cs[step], w_hT, rec,
+                          cs[step + 1], tanh_c, hs[step + 1])
+            kept.append((hs, cs))
+            x = hs[1:]
+
+        rebuilt = []
+        rebuild = nn._rebuild_states
+
+        def spy(gates, hs, cs, scratch):
+            rebuild(gates, hs, cs, scratch)
+            rebuilt.append((hs.copy(), cs.copy()))
+
+        monkeypatch.setattr(nn, "_rebuild_states", spy)
+        _, cache = forward_batch(seq, static, model, want_cache=True)
+        backward_batch(model, cache, labels)
+        assert len(rebuilt) == 3
+        for (hs, cs), (hs_ref, cs_ref) in zip(rebuilt, kept[::-1]):
+            assert np.array_equal(hs, hs_ref) and np.array_equal(cs, cs_ref)
 
 
 class TestInit:
@@ -432,6 +471,35 @@ class TestPredictAndCheckpoint:
         assert np.array_equal(flat_params(model), before)
         assert np.max(np.abs(s1 - s2)) < 1e-12
         assert np.all((s1 > 0.0) & (s1 < 1.0))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+    def test_predict_equals_one_whole_split_pass(self, n):
+        model = make_model(hidden_size=64, seed=n)
+        rng = np.random.default_rng(n)
+        seq, static = rng.normal(size=(n, 48, 13)), rng.normal(size=(n, 7))
+        whole, _ = forward_batch(seq, static, model)
+        assert np.array_equal(predict(model, seq, static), whole)
+
+    def test_predict_peak_does_not_grow_with_the_split(self):
+        # The 64-stay batches bound predict's buffers: 1,000 stays peak no
+        # higher than one batch of 64, plus 0.5 MiB for the output and the
+        # per-batch input copies.
+        model = make_model(hidden_size=64, seed=2)
+        rng = np.random.default_rng(5)
+        seq, static = rng.normal(size=(1000, 48, 13)), rng.normal(size=(1000, 7))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                predict(model, seq[:n], static[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        predict(model, seq[:64], static[:64])  # warm up cached constants
+        one_batch, split = peak(64), peak(1000)
+        assert split <= one_batch + 2**19, (
+            f"{split / 2**20:.2f} against {one_batch / 2**20:.2f} MiB")
 
     def test_checkpoint_round_trip_is_exact(self, tmp_path):
         model = make_model(hidden_size=8, seed=13)

@@ -136,6 +136,12 @@ MUTANTS = [
          "leading_uniforms(seed, arr.size)"),
     _one("nn.init_bound", "nn.py",
          "unit * (2 * bound) - bound", "unit * bound - bound"),
+    # nn: backward's state rebuild from the cached gates
+    _one("nn.rebuild_cs_starts_at_zero", "nn.py",
+         "cs = np.zeros((t + 1, b, h))", "cs = np.ones((t + 1, b, h))"),
+    _one("nn.rebuild_the_layer_below", "nn.py",
+         "            _rebuild_states(cache.gates[-1], hs, cs, tanh_c)\n",
+         "            _rebuild_states(cache.gates[0], hs, cs, tanh_c)\n"),
 ]
 
 
